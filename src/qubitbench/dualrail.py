@@ -6,7 +6,8 @@ second mode of the pair, logical |1> in the first.  The module builds ladder
 operators, the unit-excitation projectors, the encoded observables, and the
 linear-optics gates (phase shifter, beam splitter, the sign-on-two-photons
 gate, and their conditional-sign composition), plus leakage bookkeeping and
-destructive photodetection.
+destructive photodetection.  Diagonal operators (occupation numbers, pair
+projectors, the sign gate) are returned as their diagonals, 1-D arrays.
 
 Mode indices are 1-based; mode 1 is the most significant index of the basis
 ordering.
@@ -41,6 +42,11 @@ __all__ = [
     "prepare_logical",
     "photodetect",
 ]
+
+
+# Largest |<psi|psi> - 1| accepted as rounding in a state handed to leakage
+# or photodetect.
+_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,21 +140,20 @@ def creation(config, k):
 
 
 def number(config, k):
-    """Occupation-number operator of mode k (diagonal)."""
+    """Diagonal of the occupation-number operator of mode k."""
     config.check_mode(k)
-    counts = occupation_table(config)[:, k - 1].astype(float)
-    return np.diag(counts).astype(complex)
+    return occupation_table(config)[:, k - 1].astype(float)
 
 
 def dual_rail_projector(config, k, kp):
-    """Projector onto n_k + n_kp = 1, identity on the remaining modes."""
+    """Diagonal of the projector onto n_k + n_kp = 1 (0/1 entries)."""
     config.check_mode(k)
     config.check_mode(kp)
     if k == kp:
         raise ValueError("a dual-rail pair needs two distinct modes")
     occs = occupation_table(config)
     keep = (occs[:, k - 1] + occs[:, kp - 1]) == 1
-    return np.diag(keep.astype(float)).astype(complex)
+    return keep.astype(float)
 
 
 def dual_rail_frame(config, k, kp):
@@ -157,22 +162,21 @@ def dual_rail_frame(config, k, kp):
     Z = (n_kp - n_k) P, X = (a_k^dag a_kp + a_k a_kp^dag) P, Y = -i Z X, with
     P the unit-excitation projector of the pair.  All three conserve the
     joint occupation of the pair, so the frame is exact at any cutoff.
+    P and Z are diagonal, so products with them scale rows or columns.
     """
     p = dual_rail_projector(config, k, kp)
-    nk = number(config, k)
-    nkp = number(config, kp)
-    z = (nkp - nk) @ p
+    z = (number(config, kp) - number(config, k)) * p
     hop = creation(config, k) @ annihilation(config, kp)
-    x = (hop + dagger(hop)) @ p
-    y = -1j * (z @ x)
+    x = (hop + dagger(hop)) * p
+    y = -1j * (z[:, None] * x)
     return EncodedQubitFrame(
-        support=p, x=x, y=y, z=z, label=f"dual_rail(modes {k},{kp})"
+        support=np.diag(p), x=x, y=y, z=np.diag(z), label=f"dual_rail(modes {k},{kp})"
     )
 
 
 def phase_shifter(config, k, phi):
     """exp(-i phi n_k)."""
-    return evolve(number(config, k), phi)
+    return np.diag(np.exp(-1j * phi * number(config, k)))
 
 
 def beam_splitter(config, k, l, theta, phi=0.0):
@@ -191,13 +195,12 @@ def beam_splitter(config, k, l, theta, phi=0.0):
 
 
 def ns_gate(config, k):
-    """Sign flip on occupations n_k >= 2, identity on n_k in {0, 1}."""
+    """Diagonal of the sign flip on occupations n_k >= 2, +1 on n_k in {0, 1}."""
     config.check_mode(k)
     if config.cutoff < 2:
         raise ValueError("ns_gate needs cutoff >= 2")
     counts = occupation_table(config)[:, k - 1]
-    signs = np.where(counts >= 2, -1.0, 1.0)
-    return np.diag(signs).astype(complex)
+    return np.where(counts >= 2, -1.0, 1.0)
 
 
 def csign(config, q1_modes=(1, 2), q2_modes=(3, 4), theta=np.pi / 4, phi=0.0):
@@ -213,7 +216,8 @@ def csign(config, q1_modes=(1, 2), q2_modes=(3, 4), theta=np.pi / 4, phi=0.0):
     k1 = q1_modes[0]
     k2 = q2_modes[0]
     u_bs = beam_splitter(config, k1, k2, theta, phi)
-    return dagger(u_bs) @ ns_gate(config, k1) @ ns_gate(config, k2) @ u_bs
+    signs = ns_gate(config, k1) * ns_gate(config, k2)
+    return (dagger(u_bs) * signs) @ u_bs
 
 
 def leakage(state, config, pairs):
@@ -230,8 +234,16 @@ def leakage(state, config, pairs):
         config.check_mode(k)
         config.check_mode(kp)
         keep &= (occs[:, k - 1] + occs[:, kp - 1]) == 1
-    inside = float(np.sum(np.abs(state[keep]) ** 2))
+    weights = np.abs(state) ** 2
+    _require_unit_norm(float(np.sum(weights)), "leakage")
+    inside = float(np.sum(weights[keep]))
+    # the clamp absorbs rounding only; unnormalized input was rejected above
     return min(1.0, max(0.0, 1.0 - inside))
+
+
+def _require_unit_norm(norm_sq, what):
+    if abs(norm_sq - 1.0) > _NORM_TOL:
+        raise ValueError(f"{what} needs a unit-norm state, got squared norm {norm_sq!r}")
 
 
 def logical_pairs(config):
@@ -264,6 +276,7 @@ def photodetect(state, config, k, seed):
     for n in range(config.mode_dim):
         probs[n] = float(np.sum(np.abs(state[counts == n]) ** 2))
     total = probs.sum()
+    _require_unit_norm(total, "photodetect")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     outcome = int(rng.choice(config.mode_dim, p=probs / total))
     post = np.where(counts == outcome, state, 0.0)

@@ -33,6 +33,7 @@ __all__ = [
     "IsotypicSplitError",
     "verify_frame",
     "commutant_basis",
+    "center_from_commutant",
     "isotypic_decomposition",
     "frame_commutes_with",
     "expectation",
@@ -205,18 +206,16 @@ class OperatorAlgebra:
         return out
 
 
-def _nullspace_matrices(constraints, dim, rcond=1e-10):
-    """Orthonormal (Hilbert-Schmidt) basis of the joint nullspace.
+def _nullspace(stacked, rcond=1e-10):
+    """Orthonormal rows spanning the nullspace of stacked.
 
-    constraints is a list of dim^2 x dim^2 arrays acting on vec(M) in
-    row-major convention; returns the M matrices.
+    A thin SVD suffices because every caller stacks at least as many rows as
+    columns, so the thin vh is square: a complete basis of the unknowns.
     """
-    stacked = np.vstack(constraints)
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = rcond * max(1.0, svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cutoff))
-    null_rows = vh[rank:]
-    return [row.conj().reshape(dim, dim) for row in null_rows]
+    return vh[rank:].conj()
 
 
 def commutant_basis(alg):
@@ -230,7 +229,23 @@ def commutant_basis(alg):
     constraints = []
     for g in alg.with_adjoints():
         constraints.append(np.kron(eye, g.T) - np.kron(g, eye))
-    return _nullspace_matrices(constraints, n)
+    return [row.reshape(n, n) for row in _nullspace(np.vstack(constraints))]
+
+
+def center_from_commutant(comm):
+    """Orthonormal (Hilbert-Schmidt) basis of the center of an algebra.
+
+    comm is an orthonormal basis of the algebra's commutant, which is closed
+    under adjoints.  The center is the commutant's own center, so it is
+    found as the coefficients c with sum_i c_i [B_i, B_j] = 0 for every j:
+    a (c n^2) x c system instead of a commutant stack over n^2 unknowns.
+    """
+    basis = np.array(comm)
+    prods = np.einsum("iab,jbc->ijac", basis, basis)
+    # column i of the system holds [B_i, B_j] for every j
+    brackets = prods - prods.transpose(1, 0, 2, 3)
+    coeffs = _nullspace(brackets.reshape(len(comm), -1).T)
+    return list(np.tensordot(coeffs, basis, axes=1))
 
 
 @dataclass(frozen=True)
@@ -276,10 +291,7 @@ def isotypic_decomposition(alg, seed=0, cluster_gap=1e-6):
     """
     n = alg.ambient_dim
     comm = commutant_basis(alg)
-    center_gens = OperatorAlgebra(
-        tuple(alg.generators) + tuple(comm), label=f"{alg.label}+commutant"
-    )
-    center = commutant_basis(center_gens)
+    center = center_from_commutant(comm)
 
     rng = np.random.default_rng(seed)
     h = np.zeros((n, n), dtype=complex)

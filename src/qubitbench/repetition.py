@@ -11,6 +11,7 @@ all four errors give a frame whose support is the whole space.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -72,13 +73,24 @@ def _embed(op, site):
     return kron_all(*factors)
 
 
+@functools.cache
+def _error_operators():
+    # Built on first use, not at import; read-only because every caller
+    # shares these four arrays.
+    ops = (identity(DIM),) + tuple(_embed(sigma_x, site) for site in range(N_PHYSICAL))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def error_operator(a):
-    """E_0 = 1 and E_a = X_a for a in 1..3; involutive and Hermitian."""
-    if a == 0:
-        return identity(DIM)
-    if a in (1, 2, 3):
-        return _embed(sigma_x, a - 1)
-    raise ValueError(f"error index {a} outside 0..3")
+    """E_0 = 1 and E_a = X_a for a in 1..3; involutive and Hermitian.
+
+    The returned array is shared and read-only.
+    """
+    if a not in (0, 1, 2, 3):
+        raise ValueError(f"error index {a} outside 0..3")
+    return _error_operators()[a]
 
 
 def syndrome_of(a):

@@ -85,7 +85,8 @@ def _merge(prefix, report, out):
 
 def projector_number_identity_deviation(cutoffs=(2, 3, 4), num_modes=4):
     """Worst deviation of P n = n P = P n P over all mode pairs and cutoffs,
-    with n the joint occupation of the pair."""
+    with n the joint occupation of the pair.  Both operators are diagonal,
+    so the products are elementwise products of their diagonals."""
     dev = 0.0
     for cutoff in cutoffs:
         config = dr.FockConfig(num_modes, cutoff)
@@ -93,9 +94,9 @@ def projector_number_identity_deviation(cutoffs=(2, 3, 4), num_modes=4):
             for kp in range(k + 1, num_modes + 1):
                 p = dr.dual_rail_projector(config, k, kp)
                 n = dr.number(config, k) + dr.number(config, kp)
-                pn = p @ n
-                np_ = n @ p
-                pnp = pn @ p
+                pn = p * n
+                np_ = n * p
+                pnp = pn * p
                 dev = max(dev, max_abs(pn - np_), max_abs(pn - pnp))
     return dev
 
@@ -133,7 +134,7 @@ def run_bosonic(tol, seed, trials, cutoff):
     )
     n_total = sum(dr.number(config4, k) for k in range(1, 5))
     checks.append(_check(pre, "csign_conserves_photon_number",
-                         max_abs(commutator(u, n_total)), tol))
+                         max_abs(u * n_total - n_total[:, None] * u), tol))
 
     pairs = dr.logical_pairs(config4)
     coincident = dr.prepare_logical(config4, (1, 1))
@@ -167,8 +168,8 @@ def run_bosonic(tol, seed, trials, cutoff):
     psi = random_haar_state(config2.dim, rng)
     n2 = dr.number(config2, 1) + dr.number(config2, 2)
     u_bs = dr.beam_splitter(config2, 1, 2, float(rng.uniform(0, np.pi)), float(rng.uniform(0, np.pi)))
-    before = np.vdot(psi, n2 @ psi).real
-    after = np.vdot(u_bs @ psi, n2 @ (u_bs @ psi)).real
+    before = np.vdot(psi, n2 * psi).real
+    after = np.vdot(u_bs @ psi, n2 * (u_bs @ psi)).real
     checks.append(_check(pre, "beam_splitter_conserves_photon_number",
                          abs(after - before), tol))
 
@@ -178,8 +179,7 @@ def run_bosonic(tol, seed, trials, cutoff):
     )
     checks.append(_check(pre, "prepared_states_have_zero_leakage", prep_dev, tol))
 
-    ns = dr.ns_gate(config2, 1)
-    signs = np.diag(ns).real
+    signs = dr.ns_gate(config2, 1)
     occ = dr.occupation_table(config2)[:, 0]
     expected = np.where(occ >= 2, -1.0, 1.0)
     checks.append(_check(pre, "two_photon_sign_gate_action", max_abs(signs - expected), tol))

@@ -153,8 +153,8 @@ def test_pair_occupation_projector_identity():
         config = FockConfig(4, cutoff)
         for k in range(1, 5):
             for kp in range(k + 1, 5):
-                p = dual_rail_projector(config, k, kp)
-                n = number(config, k) + number(config, kp)
+                p = np.diag(dual_rail_projector(config, k, kp))
+                n = np.diag(number(config, k) + number(config, kp))
                 worst = max(worst,
                             max_abs(p @ n - n @ p),
                             max_abs(p @ n - p @ n @ p))

@@ -109,7 +109,7 @@ def test_ladder_operators_match_kron_oracle(num_modes, cutoff, k):
     assert max_abs(annihilation(config, k) - a_oracle) == 0.0
     assert max_abs(creation(config, k) - dagger(a_oracle)) == 0.0
     n_oracle = dagger(a_oracle) @ a_oracle
-    assert max_abs(number(config, k) - n_oracle) < 1e-13
+    assert max_abs(np.diag(number(config, k)) - n_oracle) < 1e-13
 
 
 def test_ladder_operators_on_distinct_modes_commute():
@@ -135,7 +135,7 @@ def test_ladder_commutator_below_truncation():
 
 def test_projector_is_unit_excitation_indicator():
     config = FockConfig(4, 2)
-    p = dual_rail_projector(config, 1, 3)
+    p = np.diag(dual_rail_projector(config, 1, 3))
     table = occupation_table(config)
     expected = np.diag((table[:, 0] + table[:, 2] == 1).astype(complex))
     assert max_abs(p - expected) == 0.0
@@ -195,7 +195,7 @@ def test_beam_splitter_single_photon_block():
 
 def test_beam_splitter_conserves_total_occupation():
     config = FockConfig(2, 3)
-    n_total = number(config, 1) + number(config, 2)
+    n_total = np.diag(number(config, 1) + number(config, 2))
     u = beam_splitter(config, 1, 2, 0.62, 1.1)
     assert max_abs(u @ n_total - n_total @ u) < 1e-12
 
@@ -213,7 +213,7 @@ def test_coincident_photons_bunch_as_sine_curve():
 
 def test_ns_gate_signs_and_cutoff_guard():
     config = FockConfig(2, 3)
-    ns = ns_gate(config, 2)
+    ns = np.diag(ns_gate(config, 2))
     table = occupation_table(config)
     expected = np.diag(np.where(table[:, 1] >= 2, -1.0, 1.0)).astype(complex)
     assert max_abs(ns - expected) == 0.0
@@ -311,6 +311,18 @@ def test_photodetect_certain_outcome():
         assert outcome == 0
         assert prob == pytest.approx(1.0)
         assert max_abs(post - state) < 1e-14
+
+
+@pytest.mark.parametrize("measure", [
+    lambda state, config: leakage(state, config, logical_pairs(config)),
+    lambda state, config: photodetect(state, config, 1, 0),
+], ids=["leakage", "photodetect"])
+def test_unnormalized_state_raises(measure):
+    config = FockConfig(2, 2)
+    plus = (fock_state(config, (0, 1)) + fock_state(config, (1, 0))) / np.sqrt(2)
+    measure(plus, config)
+    with pytest.raises(ValueError, match="unit-norm"):
+        measure(1.1 * plus, config)
 
 
 def test_photodetect_is_reproducible_per_seed():

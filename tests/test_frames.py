@@ -1,16 +1,19 @@
 """Frame verification and operator-algebra structure analysis."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qubitbench.collective import total_spin_ops
 from qubitbench.frames import (
     CheckResult,
     EncodedQubitFrame,
     IsotypicSplitError,
     OperatorAlgebra,
     VerificationReport,
+    center_from_commutant,
     commutant_basis,
     expectation,
     frame_commutes_with,
@@ -29,10 +32,12 @@ from qubitbench.linalg import (
     kron,
     max_abs,
     random_haar_state,
+    random_hermitian,
     sigma_x,
     sigma_y,
     sigma_z,
 )
+from qubitbench.repetition import error_recovery_words
 
 EXPECTED_CHECKS = (
     "hermitian_observables",
@@ -283,3 +288,80 @@ def test_haar_states_shape_and_determinism():
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     again = haar_states(3, 4, seed=9)
     assert all(max_abs(a - b) == 0.0 for a, b in zip(states, again))
+
+
+def center_oracle(alg):
+    """Center as the commutant of the generators together with their commutant."""
+    gens = tuple(alg.generators) + tuple(commutant_basis(alg))
+    return commutant_basis(OperatorAlgebra(gens, f"{alg.label}+commutant"))
+
+
+def span_projector(matrices):
+    """Orthogonal projector onto the span of matrices, as vectors."""
+    rows = np.array([np.ravel(m) for m in matrices])
+    q, _ = np.linalg.qr(rows.T)
+    return q @ q.conj().T
+
+
+def conjugated_direct_sum_algebra(seed):
+    """A random unitary conjugate of (1_2 (x) M_2) + M_3 on seven dimensions."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for pauli in (sigma_x, sigma_z):
+        g = np.zeros((7, 7), dtype=complex)
+        g[:4, :4] = kron(identity(2), pauli)
+        gens.append(g)
+    for _ in range(2):
+        g = np.zeros((7, 7), dtype=complex)
+        g[4:, 4:] = random_hermitian(3, rng)
+        gens.append(g)
+    u, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens), "conjugated_sum")
+
+
+CENTER_CASES = {
+    "pauli": lambda: OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli"),
+    "collective_noise": lambda: OperatorAlgebra(total_spin_ops().generators(),
+                                                "collective_noise"),
+    "error_recovery_words": lambda: OperatorAlgebra(tuple(error_recovery_words().values()),
+                                                    "error_recovery_words"),
+    "conjugated_direct_sum": lambda: conjugated_direct_sum_algebra(11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTER_CASES))
+def test_center_from_commutant_matches_two_stack_oracle(case):
+    alg = CENTER_CASES[case]()
+    comm = commutant_basis(alg)
+    center = center_from_commutant(comm)
+    oracle = center_oracle(alg)
+    assert len(center) == len(oracle)
+    assert max_abs(span_projector(center) - span_projector(oracle)) < 1e-9
+    gram = np.array([[np.vdot(a, b) for b in center] for a in center])
+    assert max_abs(gram - identity(len(center))) < 1e-9
+    summary = isotypic_decomposition_retrying(alg)
+    assert len(center) == len(summary.blocks)
+
+
+def test_conjugated_direct_sum_blocks():
+    summary = isotypic_decomposition_retrying(conjugated_direct_sum_algebra(11))
+    assert summary.as_multiset() == ((1, 3), (2, 2))
+    assert summary.commutant_dim == 5
+
+
+# A dense full-matrices SVD of the 1792 x 64 word-algebra stack allocates
+# about 50 MB for an unused U; the thin factorization needs a few MB.
+MEMORY_GUARD_BYTES = 16 * 2**20
+
+
+@pytest.mark.parametrize("step", [commutant_basis, isotypic_decomposition_retrying],
+                         ids=lambda f: f.__name__)
+def test_word_algebra_peak_memory_guard(step):
+    alg = CENTER_CASES["error_recovery_words"]()
+    tracemalloc.start()
+    try:
+        step(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_GUARD_BYTES, f"{step.__name__} peaked at {peak / 2**20:.1f} MB"

@@ -59,6 +59,15 @@ def test_error_operators_match_kron_oracle():
         error_operator(-1)
 
 
+def test_error_operators_are_shared_and_read_only():
+    for a in range(4):
+        e = error_operator(a)
+        assert e is error_operator(a)
+        with pytest.raises(ValueError):
+            e[0, 0] = 2.0
+    assert max_abs(error_operator(0) - identity(DIM)) == 0.0
+
+
 def test_stabilizer_generators_match_kron_oracle():
     m1, m2 = stabilizer_generators()
     assert max_abs(m1 - kron_all(sigma_z, sigma_z, I2)) == 0.0
