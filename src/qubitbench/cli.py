@@ -25,8 +25,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for all randomized checks (default: 0)")
     parser.add_argument("--trials", type=int, default=100,
-                        help="random trials per randomized check; 0 keeps only "
-                             "the deterministic checks (default: 100)")
+                        help="random trials per invariance check; 0 drops the five "
+                             "randomized invariance checks, and the checks that draw "
+                             "max(1, trials // 10) samples still draw one (default: 100)")
     parser.add_argument("--cutoff", type=int, default=2,
                         help="Fock-space occupation cutoff per mode (default: 2)")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -57,8 +58,6 @@ def main(argv=None):
             seed=args.seed,
             trials=args.trials,
             cutoff=args.cutoff,
-            output_path=args.out,
-            format=args.format,
         )
     except ValueError as exc:
         parser.print_usage(sys.stderr)
@@ -66,16 +65,16 @@ def main(argv=None):
         return 2
 
     doc = run_suite(config)
-    if config.format == "json":
+    if args.format == "json":
         rendered = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     else:
         rendered = render_text(doc)
 
-    if config.output_path is None:
+    if args.out is None:
         sys.stdout.write(rendered)
     else:
         try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
             sys.stderr.write(f"{parser.prog}: error: cannot write report: {exc}\n")

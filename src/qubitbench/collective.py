@@ -12,7 +12,6 @@ S_z and S^2 are conserved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +25,10 @@ from .linalg import (
     basis_state,
     commutator,
     dagger,
+    embed,
     evolve,
     identity,
     kron,
-    kron_all,
     max_abs,
     partial_trace,
     random_haar_state,
@@ -42,7 +41,6 @@ __all__ = [
     "N_SPINS",
     "DIM",
     "FLAVORS",
-    "CollectiveSpinSystem",
     "collective_ops",
     "total_spin_ops",
     "no_invariant_state_check",
@@ -68,11 +66,10 @@ FLAVORS = ("singlet_triplet", "omega")
 
 _PAULIS = (sigma_x, sigma_y, sigma_z)
 
-
-def _embed(op, site, n_spins=N_SPINS):
-    factors = [identity(2)] * n_spins
-    factors[site] = op
-    return kron_all(*factors)
+# A singular value of the stacked generators below this counts as a kernel
+# direction; the gap to the first one above it must be at least the split.
+KERNEL_SV_THRESHOLD = 1e-8
+MIN_KERNEL_SPLIT = 1e-4
 
 
 def collective_ops(n_spins):
@@ -81,38 +78,18 @@ def collective_ops(n_spins):
     for pauli in _PAULIS:
         s = np.zeros((2 ** n_spins, 2 ** n_spins), dtype=complex)
         for i in range(n_spins):
-            s += _embed(pauli, i, n_spins) / 2.0
+            s += embed(pauli, i, n_spins) / 2.0
         out.append(s)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CollectiveSpinSystem:
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    s2: np.ndarray
-
-    @property
-    def dim(self):
-        return self.sx.shape[0]
-
-    def generators(self):
-        return (self.sx, self.sy, self.sz)
-
-
 def total_spin_ops():
+    """(S_x, S_y, S_z, S^2) of the three spins."""
     sx, sy, sz = collective_ops(N_SPINS)
-    s2 = sx @ sx + sy @ sy + sz @ sz
-    return CollectiveSpinSystem(sx=sx, sy=sy, sz=sz, s2=s2)
+    return sx, sy, sz, sx @ sx + sy @ sy + sz @ sz
 
 
-def _check(name, deviation, tol):
-    deviation = float(deviation)
-    return CheckResult(name, deviation, deviation <= tol)
-
-
-def joint_kernel_dimension(n_spins, sv_threshold=1e-8):
+def joint_kernel_dimension(n_spins, sv_threshold=KERNEL_SV_THRESHOLD):
     """Dimension of the common null space of the collective generators.
 
     Returns (dimension, margin): margin is the gap between the singular
@@ -129,7 +106,7 @@ def joint_kernel_dimension(n_spins, sv_threshold=1e-8):
     return dim, bottom - top
 
 
-def no_invariant_state_check(tol=1e-9, sv_threshold=1e-8, min_split=1e-4):
+def no_invariant_state_check(tol=1e-9):
     """No three-spin state is annihilated by all collective generators.
 
     Contrasts with two spins (one invariant state, the pair singlet) and
@@ -138,12 +115,11 @@ def no_invariant_state_check(tol=1e-9, sv_threshold=1e-8, min_split=1e-4):
     expected = {3: 0, 2: 1, 4: 2}
     checks = []
     for n in (3, 2, 4):
-        dim, margin = joint_kernel_dimension(n, sv_threshold)
-        checks.append(_check(f"joint_kernel_dim_{n}_spins", abs(dim - expected[n]), tol))
-        checks.append(
-            _check(f"kernel_split_margin_{n}_spins", max(0.0, min_split - margin), tol)
-        )
-    return VerificationReport("collective_invariant_states", float(tol), 0, tuple(checks))
+        dim, margin = joint_kernel_dimension(n)
+        checks.append(CheckResult.of(f"joint_kernel_dim_{n}_spins", abs(dim - expected[n]), tol))
+        checks.append(CheckResult.of(f"kernel_split_margin_{n}_spins",
+                                     max(0.0, MIN_KERNEL_SPLIT - margin), tol))
+    return VerificationReport(checks)
 
 
 def _ket(bits):
@@ -168,14 +144,6 @@ class ProtectedBasis:
     def vector(self, route, sz):
         col = {(0, +0.5): 0, (0, -0.5): 1, (1, +0.5): 2, (1, -0.5): 3}[(route, sz)]
         return self.vectors[:, col]
-
-    def to_json(self):
-        """One row per basis vector; amplitudes as [re, im] pairs."""
-        rows = [
-            [[float(z.real), float(z.imag)] for z in self.vectors[:, col]]
-            for col in range(self.vectors.shape[1])
-        ]
-        return json.dumps(rows)
 
 
 def protected_basis(flavor):
@@ -208,7 +176,7 @@ def scalars():
     for i, j in ((0, 1), (1, 2), (2, 0)):
         s = np.zeros((DIM, DIM), dtype=complex)
         for pauli in _PAULIS:
-            s += _embed(pauli, i) @ _embed(pauli, j)
+            s += embed(pauli, i, N_SPINS) @ embed(pauli, j, N_SPINS)
         out.append(s)
     return tuple(out)  # (s12, s23, s31)
 
@@ -228,7 +196,8 @@ def antisymmetric_product():
     by_name = dict(zip("xyz", _PAULIS))
     out = np.zeros((DIM, DIM), dtype=complex)
     for (a, b, c), sign in eps.items():
-        out += sign * (_embed(by_name[a], 0) @ _embed(by_name[b], 1) @ _embed(by_name[c], 2))
+        out += sign * (embed(by_name[a], 0, N_SPINS) @ embed(by_name[b], 1, N_SPINS)
+                       @ embed(by_name[c], 2, N_SPINS))
     return out
 
 
@@ -271,10 +240,9 @@ def gauge_blocks(flavor):
     the collective components carry spin-1/2 eigenvalues on the gauge pair.
     """
     v = protected_basis(flavor).vectors
-    system = total_spin_ops()
     blocks = []
     dev = 0.0
-    for s in system.generators():
+    for s in collective_ops(N_SPINS):
         m = dagger(v) @ s @ v
         b00 = m[0:2, 0:2]
         b01 = m[0:2, 2:4]
@@ -313,7 +281,7 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    system = total_spin_ops()
+    generators = collective_ops(N_SPINS)
     rng = np.random.default_rng(seed)
     checks = []
     for flavor in FLAVORS:
@@ -323,23 +291,23 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
         commute_dev = max(
             max_abs(commutator(o, s))
             for o in members
-            for s in system.generators()
+            for s in generators
         )
-        checks.append(_check(f"frame_commutes_with_noise_{flavor}", commute_dev, tol))
+        checks.append(CheckResult.of(f"frame_commutes_with_noise_{flavor}", commute_dev, tol))
 
         blocks, block_dev = gauge_blocks(flavor)
         unit_dev = 0.0
         for b in blocks:
             coeffs, residual = pauli_coefficients(2.0 * b)
             unit_dev = max(unit_dev, residual, abs(float(coeffs @ coeffs) - 1.0))
-        checks.append(_check(f"noise_block_structure_{flavor}", block_dev, tol))
-        checks.append(_check(f"gauge_action_unit_pauli_{flavor}", unit_dev, tol))
+        checks.append(CheckResult.of(f"noise_block_structure_{flavor}", block_dev, tol))
+        checks.append(CheckResult.of(f"gauge_action_unit_pauli_{flavor}", unit_dev, tol))
 
         if trials > 0:
             dev = 0.0
             for _ in range(trials):
                 theta = rng.standard_normal(3)
-                h = sum(t * s for t, s in zip(theta, system.generators()))
+                h = sum(t * s for t, s in zip(theta, generators))
                 u = evolve(h, 1.0)
                 psi = random_haar_state(DIM, rng)
                 phi = u @ psi
@@ -347,12 +315,9 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
                     before = np.vdot(psi, o @ psi).real
                     after = np.vdot(phi, o @ phi).real
                     dev = max(dev, abs(after - before))
-            checks.append(
-                _check(f"collective_unitary_expectation_invariance_{flavor}", dev, tol)
-            )
-    return VerificationReport(
-        "collective_invariance", float(tol), int(seed), tuple(checks)
-    )
+            checks.append(CheckResult.of(
+                f"collective_unitary_expectation_invariance_{flavor}", dev, tol))
+    return VerificationReport(checks)
 
 
 def purity_of_protected_qubit(psi_q, rho_gauge, flavor="singlet_triplet", factor="qubit"):

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import EncodedQubitFrame
-from .linalg import dagger, evolve, identity, kron_all, max_abs
+from .linalg import dagger, embed, evolve
 
 __all__ = [
     "FockConfig",
     "fock_state",
     "occupations_of_index",
     "index_of_occupations",
-    "occupation_string",
     "annihilation",
     "creation",
     "number",
@@ -115,10 +114,6 @@ def fock_state(config, occs):
     return psi
 
 
-def occupation_string(config, occs):
-    return "|" + " ".join(str(int(n)) for n in occs) + ">"
-
-
 def _single_mode_lowering(dim):
     a = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
@@ -129,10 +124,7 @@ def _single_mode_lowering(dim):
 def annihilation(config, k):
     """Truncated lowering operator on mode k, identity on the others."""
     config.check_mode(k)
-    d = config.mode_dim
-    factors = [identity(d)] * config.num_modes
-    factors[k - 1] = _single_mode_lowering(d)
-    return kron_all(*factors)
+    return embed(_single_mode_lowering(config.mode_dim), k - 1, config.num_modes)
 
 
 def creation(config, k):
@@ -269,14 +261,10 @@ def photodetect(state, config, k, seed):
     Samples the outcome from the Born distribution, returns the outcome, the
     renormalized post-measurement state, and the outcome probability.
     """
-    config.check_mode(k)
+    probs = born_distribution(state, config, k)
     state = np.asarray(state, dtype=complex)
     counts = occupation_table(config)[:, k - 1]
-    probs = np.zeros(config.mode_dim)
-    for n in range(config.mode_dim):
-        probs[n] = float(np.sum(np.abs(state[counts == n]) ** 2))
     total = probs.sum()
-    _require_unit_norm(total, "photodetect")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     outcome = int(rng.choice(config.mode_dim, p=probs / total))
     post = np.where(counts == outcome, state, 0.0)
@@ -287,10 +275,15 @@ def photodetect(state, config, k, seed):
 
 
 def born_distribution(state, config, k):
-    """Outcome probabilities of photodetection on mode k, no sampling."""
+    """Outcome probabilities of photodetection on mode k, no sampling.
+
+    Raises ValueError on a state that is not of unit norm.
+    """
     config.check_mode(k)
     state = np.asarray(state, dtype=complex)
     counts = occupation_table(config)[:, k - 1]
-    return np.array(
+    probs = np.array(
         [float(np.sum(np.abs(state[counts == n]) ** 2)) for n in range(config.mode_dim)]
     )
+    _require_unit_norm(float(probs.sum()), "photodetection")
+    return probs

@@ -9,8 +9,7 @@ that a noise algebra imposes on the state space.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .linalg import (
     eigh,
     identity,
     max_abs,
-    random_haar_state,
 )
 
 __all__ = [
@@ -49,6 +47,12 @@ class CheckResult:
     max_deviation: float
     passed: bool
 
+    @classmethod
+    def of(cls, name, deviation, tol):
+        """The check passes when its deviation is at most tol."""
+        deviation = float(deviation)
+        return cls(name, deviation, deviation <= tol)
+
     def to_json_dict(self):
         return {
             "name": self.name,
@@ -59,10 +63,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    label: str
-    tolerance: float
-    seed: int
-    checks: tuple = field(default_factory=tuple)
+    """The named checks of one verification, in order."""
+
+    checks: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -80,22 +83,6 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_json_dict(self):
-        return {
-            "label": self.label,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _check(name, deviation, tol):
-    deviation = float(deviation)
-    return CheckResult(name, deviation, deviation <= tol)
 
 
 @dataclass(frozen=True)
@@ -125,12 +112,8 @@ class EncodedQubitFrame:
     def observables(self):
         return (self.x, self.y, self.z)
 
-    def support_projector_defect(self):
-        p = self.support
-        return max(max_abs(p - dagger(p)), max_abs(p @ p - p))
 
-
-def verify_frame(frame, tol=1e-9, seed=0):
+def verify_frame(frame, tol=1e-9):
     """Check that (P, X, Y, Z) generates the operator algebra of one qubit.
 
     Six checks, each reported with its worst entrywise deviation:
@@ -165,15 +148,14 @@ def verify_frame(frame, tol=1e-9, seed=0):
     nearest_even = max(2.0, 2.0 * np.round(tr / 2.0))
     parity = abs(tr - nearest_even)
 
-    checks = (
-        _check("hermitian_observables", herm, tol),
-        _check("cyclic_commutators", comm, tol),
-        _check("pairwise_anticommutators", anti, tol),
-        _check("squares_equal_support", squares, tol),
-        _check("observables_confined_to_support", confined, tol),
-        _check("support_trace_even", parity, tol),
-    )
-    return VerificationReport(frame.label, float(tol), int(seed), checks)
+    return VerificationReport((
+        CheckResult.of("hermitian_observables", herm, tol),
+        CheckResult.of("cyclic_commutators", comm, tol),
+        CheckResult.of("pairwise_anticommutators", anti, tol),
+        CheckResult.of("squares_equal_support", squares, tol),
+        CheckResult.of("observables_confined_to_support", confined, tol),
+        CheckResult.of("support_trace_even", parity, tol),
+    ))
 
 
 @dataclass(frozen=True)
@@ -352,12 +334,10 @@ def frame_commutes_with(frame, alg, tol=1e-9):
     """Worst commutator of each generator against the frame observables."""
     if frame.ambient_dim != alg.ambient_dim:
         raise ValueError("frame and algebra dimensions differ")
-    checks = []
-    for j, g in enumerate(alg.generators):
-        dev = max(max_abs(commutator(o, g)) for o in frame.observables())
-        checks.append(_check(f"commutes_with_generator_{j}", dev, tol))
     return VerificationReport(
-        f"{frame.label} vs {alg.label}", float(tol), 0, tuple(checks)
+        CheckResult.of(f"commutes_with_generator_{j}",
+                       max(max_abs(commutator(o, g)) for o in frame.observables()), tol)
+        for j, g in enumerate(alg.generators)
     )
 
 
@@ -409,21 +389,3 @@ def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
         words = [dagger(restrict_to) @ w @ restrict_to for w in words]
     return _span_rank(words)
 
-
-def invariant_expectation_defect(frame, unitaries, states):
-    """Worst change of any frame expectation when states flow through unitaries."""
-    dev = 0.0
-    for psi in states:
-        for u in unitaries:
-            phi = u @ psi
-            for o in frame.observables():
-                before = np.vdot(psi, o @ psi)
-                after = np.vdot(phi, o @ phi)
-                dev = max(dev, abs(after - before))
-    return float(dev)
-
-
-def haar_states(dim, count, seed):
-    """count Haar states drawn from one deterministic stream."""
-    rng = np.random.default_rng(seed)
-    return [random_haar_state(dim, rng) for _ in range(count)]

@@ -30,16 +30,14 @@ __all__ = [
     "max_abs",
     "kron",
     "kron_all",
+    "embed",
     "commutator",
     "anticommutator",
     "is_hermitian",
-    "is_unitary",
-    "is_projector",
     "eigh",
     "evolve",
     "partial_trace",
     "random_haar_state",
-    "random_hermitian",
     "child_seed",
     "KrausChannel",
 ]
@@ -91,6 +89,13 @@ def kron_all(*ops):
     return out
 
 
+def embed(op, site, n_sites):
+    """op on factor site of n_sites equal factors, identity on the others."""
+    factors = [identity(op.shape[0])] * n_sites
+    factors[site] = op
+    return kron_all(*factors)
+
+
 def _check_same_square(a, b, what):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what}: first operand is not square")
@@ -119,20 +124,6 @@ def anticommutator(a, b):
 def is_hermitian(a, tol=1e-9):
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
-
-
-def is_unitary(a, tol=1e-9):
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(dagger(a) @ a - identity(a.shape[0])) <= tol
-
-
-def is_projector(a, tol=1e-9):
-    a = np.asarray(a)
-    if not is_hermitian(a, tol):
-        return False
-    return max_abs(a @ a - a) <= tol
 
 
 def eigh(h, tol=1e-9):
@@ -195,15 +186,6 @@ def random_haar_state(dim, seed):
     rng = _as_rng(seed)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
-
-
-def random_hermitian(dim, seed):
-    """Gaussian random Hermitian matrix, deterministic per seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = _as_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + dagger(z)) / 2.0
 
 
 def child_seed(seed, name):

@@ -1,14 +1,20 @@
 """Named check suites composing the constructions into reproducible runs.
 
-Each suite returns a flat list of CheckResult objects whose names carry a
-suite prefix.  All randomness is derived from the master seed and the suite
-name, so results do not depend on execution order and identical
-configurations reproduce identical numbers.
+Each suite runner returns (name, deviation) pairs, produced in order by the
+check families of its suite in ``_FAMILIES``.  A family is a small generator
+over one namespace shared by the suite's run: the configuration, the suite's
+random stream and the heavy inputs the runner builds once.  Its docstring is
+its ``--describe`` text.  ``run_suite`` adds the suite prefix and judges every
+deviation against the tolerance.  All randomness is derived from the master
+seed and the suite name, so results do not depend on execution order and
+identical configurations reproduce identical numbers.
 """
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .linalg import (
     identity,
     kron,
     max_abs,
+    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
@@ -54,8 +61,6 @@ class SuiteConfig:
     seed: int = 0
     trials: int = 100
     cutoff: int = 2
-    output_path: str | None = None
-    format: str = "text"
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -66,18 +71,28 @@ class SuiteConfig:
             raise ValueError("trials must be >= 0")
         if self.suite in ("bosonic", "all") and self.cutoff < 2:
             raise ValueError("bosonic suite needs cutoff >= 2 for the two-photon gates")
-        if self.format not in ("text", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
-def _check(prefix, name, deviation, tol):
-    deviation = float(deviation)
-    return CheckResult(f"{prefix}/{name}", deviation, deviation <= tol)
+def _run(config, suite, **inputs):
+    """The suite's (name, deviation) pairs, family by family."""
+    s = SimpleNamespace(
+        tol=config.tolerance, seed=config.seed, trials=config.trials,
+        rng=np.random.default_rng(child_seed(config.seed, suite)), **inputs,
+    )
+    return [pair for family in _FAMILIES[suite] for pair in family(s)]
 
 
-def _merge(prefix, report, out):
-    for c in report.checks:
-        out.append(CheckResult(f"{prefix}/{c.name}", c.max_deviation, c.passed))
+def _pairs(report, prefix=""):
+    """A sub-report's checks as (name, deviation) pairs."""
+    return ((prefix + c.name, c.max_deviation) for c in report.checks)
+
+
+def _random_amplitudes(rng):
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return c / np.linalg.norm(c)
+
+
+_TWO_QUBIT_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # ----------------------------------------------------------------- bosonic
@@ -101,137 +116,164 @@ def projector_number_identity_deviation(cutoffs=(2, 3, 4), num_modes=4):
     return dev
 
 
-def run_bosonic(tol, seed, trials, cutoff):
-    checks = []
-    rng = np.random.default_rng(child_seed(seed, "bosonic"))
-    pre = "bosonic"
-
-    config2 = dr.FockConfig(2, cutoff)
-    frame = dr.dual_rail_frame(config2, 1, 2)
-    _merge(f"{pre}/frame", verify_frame(frame, tol), checks)
-
-    cutoff_dev = max(
-        verify_frame(dr.dual_rail_frame(dr.FockConfig(2, c), 1, 2), tol).max_deviation
+def _bosonic_frame(s):
+    """P = unit-excitation projector of the pair; Z = (n_k' - n_k) P;
+    X = (a_k^dag a_k' + a_k a_k'^dag) P; Y = -i Z X.  The six frame axioms
+    hold, and their worst deviation stays within tol at cutoffs 2, 3 and 4."""
+    yield from _pairs(verify_frame(s.frame, s.tol), "frame/")
+    yield "frame_cutoff_independence", max(
+        verify_frame(dr.dual_rail_frame(dr.FockConfig(2, c), 1, 2), s.tol).max_deviation
         for c in (2, 3, 4)
     )
-    checks.append(_check(pre, "frame_cutoff_independence", cutoff_dev, tol))
 
-    checks.append(
-        _check(pre, "projector_number_identity", projector_number_identity_deviation(), tol)
-    )
 
-    config4 = dr.FockConfig(4, cutoff)
-    u = dr.csign(config4)
-    logical = [dr.prepare_logical(config4, bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+def _bosonic_projector_number_identity(s):
+    """P (n_k + n_k') = (n_k + n_k') P = P (n_k + n_k') P for every mode
+    pair of four modes at cutoffs 2, 3 and 4."""
+    yield "projector_number_identity", projector_number_identity_deviation()
+
+
+def _bosonic_csign(s):
+    """BS(1,3)^dag NS_1 NS_3 BS(1,3) = diag(1, 1, 1, -1) on the logical basis
+    at theta = pi/4, up to a global phase; the gate is unitary and conserves
+    the total photon number."""
+    config4, u = s.config4, s.csign
+    logical = [dr.prepare_logical(config4, bits) for bits in _TWO_QUBIT_BITS]
     m = np.array([[np.vdot(a, u @ b) for b in logical] for a in logical])
     phase = m[0, 0] / abs(m[0, 0])
-    checks.append(
-        _check(pre, "csign_logical_matrix",
-               max_abs(m / phase - np.diag([1.0, 1.0, 1.0, -1.0])), tol)
-    )
-    checks.append(
-        _check(pre, "csign_unitary", max_abs(dagger(u) @ u - identity(config4.dim)), tol)
-    )
+    yield "csign_logical_matrix", max_abs(m / phase - np.diag([1.0, 1.0, 1.0, -1.0]))
+    yield "csign_unitary", max_abs(dagger(u) @ u - identity(config4.dim))
     n_total = sum(dr.number(config4, k) for k in range(1, 5))
-    checks.append(_check(pre, "csign_conserves_photon_number",
-                         max_abs(u * n_total - n_total[:, None] * u), tol))
+    yield "csign_conserves_photon_number", max_abs(u * n_total - n_total[:, None] * u)
 
-    pairs = dr.logical_pairs(config4)
+
+def _bosonic_post_splitter(s):
+    """Leakage of the coincident-photon state |1,1> after the splitter alone
+    equals sin^2(2 theta): 1/2 at theta = pi/8, and at theta = pi/4 the
+    transfer out of the logical space is complete, so the qubits exist only
+    stroboscopically across the gate."""
+    config4 = s.config4
     coincident = dr.prepare_logical(config4, (1, 1))
-    leak_half = dr.leakage(dr.beam_splitter(config4, 1, 3, np.pi / 8) @ coincident,
-                           config4, pairs)
-    checks.append(_check(pre, "post_splitter_leakage_half_at_eighth_pi",
-                         abs(leak_half - 0.5), tol))
-    leak_full = dr.leakage(dr.beam_splitter(config4, 1, 3, np.pi / 4) @ coincident,
-                           config4, pairs)
-    checks.append(_check(pre, "post_splitter_full_transfer_at_quarter_pi",
-                         abs(leak_full - 1.0), tol))
+    for name, theta, target in (
+        ("post_splitter_leakage_half_at_eighth_pi", np.pi / 8, 0.5),
+        ("post_splitter_full_transfer_at_quarter_pi", np.pi / 4, 1.0),
+    ):
+        leak = dr.leakage(dr.beam_splitter(config4, 1, 3, theta) @ coincident,
+                          config4, dr.logical_pairs(config4))
+        yield name, abs(leak - target)
 
+
+def _bosonic_logical_evolution(s):
+    """exp(-i Z t) and exp(-i X t) keep random logical states in the code
+    space (max(1, trials // 10) samples)."""
+    config2 = s.config2
     dev = 0.0
-    for _ in range(max(1, trials // 10)):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        c = c / np.linalg.norm(c)
+    for _ in range(max(1, s.trials // 10)):
+        c = _random_amplitudes(s.rng)
         psi = c[0] * dr.prepare_logical(config2, (0,)) + c[1] * dr.prepare_logical(config2, (1,))
-        t = float(rng.uniform(0.0, 2.0 * np.pi))
-        for h in (frame.z, frame.x):
+        t = float(s.rng.uniform(0.0, 2.0 * np.pi))
+        for h in (s.frame.z, s.frame.x):
             dev = max(dev, dr.leakage(evolve(h, t) @ psi, config2, [(1, 2)]))
-    checks.append(_check(pre, "logical_evolution_stays_in_code_space", dev, tol))
+    yield "logical_evolution_stays_in_code_space", dev
 
-    checks.append(_check(pre, "phase_shifter_full_period",
-                         max_abs(dr.phase_shifter(config2, 1, 2.0 * np.pi)
-                                 - identity(config2.dim)), tol))
 
+def _bosonic_phase_shifter(s):
+    """exp(-i 2 pi n_k) is the identity."""
+    yield "phase_shifter_full_period", max_abs(
+        dr.phase_shifter(s.config2, 1, 2.0 * np.pi) - identity(s.config2.dim))
+
+
+def _bosonic_beam_splitter(s):
+    """At theta = pi/2 the splitter moves a photon fully from one mode to the
+    other; at a random angle and phase it conserves the photon number of a
+    random state."""
+    config2, rng = s.config2, s.rng
     swap = dr.beam_splitter(config2, 1, 2, np.pi / 2) @ dr.fock_state(config2, (1, 0))
     amp = np.vdot(dr.fock_state(config2, (0, 1)), swap)
-    checks.append(_check(pre, "beam_splitter_full_swap", 1.0 - abs(amp), tol))
+    yield "beam_splitter_full_swap", 1.0 - abs(amp)
 
     psi = random_haar_state(config2.dim, rng)
     n2 = dr.number(config2, 1) + dr.number(config2, 2)
-    u_bs = dr.beam_splitter(config2, 1, 2, float(rng.uniform(0, np.pi)), float(rng.uniform(0, np.pi)))
+    u_bs = dr.beam_splitter(config2, 1, 2, float(rng.uniform(0, np.pi)),
+                            float(rng.uniform(0, np.pi)))
     before = np.vdot(psi, n2 * psi).real
     after = np.vdot(u_bs @ psi, n2 * (u_bs @ psi)).real
-    checks.append(_check(pre, "beam_splitter_conserves_photon_number",
-                         abs(after - before), tol))
+    yield "beam_splitter_conserves_photon_number", abs(after - before)
 
-    prep_dev = max(
-        dr.leakage(dr.prepare_logical(config4, bits), config4, pairs)
-        for bits in ((0, 0), (0, 1), (1, 0), (1, 1))
+
+def _bosonic_prepared_states(s):
+    """The four prepared two-qubit logical states have zero leakage."""
+    config4 = s.config4
+    yield "prepared_states_have_zero_leakage", max(
+        dr.leakage(dr.prepare_logical(config4, bits), config4, dr.logical_pairs(config4))
+        for bits in _TWO_QUBIT_BITS
     )
-    checks.append(_check(pre, "prepared_states_have_zero_leakage", prep_dev, tol))
 
-    signs = dr.ns_gate(config2, 1)
-    occ = dr.occupation_table(config2)[:, 0]
-    expected = np.where(occ >= 2, -1.0, 1.0)
-    checks.append(_check(pre, "two_photon_sign_gate_action", max_abs(signs - expected), tol))
 
+def _bosonic_two_photon_sign_gate(s):
+    """NS flips the sign of occupations n_k >= 2 and leaves 0 and 1 alone."""
+    signs = dr.ns_gate(s.config2, 1)
+    occ = dr.occupation_table(s.config2)[:, 0]
+    yield "two_photon_sign_gate_action", max_abs(signs - np.where(occ >= 2, -1.0, 1.0))
+
+
+def _bosonic_photodetection(s):
+    """Destructive number readout of one mode: Born probabilities 1/2, 1/2
+    on (|01> + |10>)/sqrt2, and the same outcome and state for the same
+    seed."""
+    config2 = s.config2
     plus = (dr.fock_state(config2, (0, 1)) + dr.fock_state(config2, (1, 0))) / np.sqrt(2.0)
     dist = dr.born_distribution(plus, config2, 1)
-    dist_dev = max(abs(dist[0] - 0.5), abs(dist[1] - 0.5), abs(dist.sum() - 1.0))
-    checks.append(_check(pre, "photodetection_born_probabilities", dist_dev, tol))
+    yield "photodetection_born_probabilities", max(
+        abs(dist[0] - 0.5), abs(dist[1] - 0.5), abs(dist.sum() - 1.0))
 
-    det_seed = child_seed(seed, "bosonic-detect")
+    det_seed = child_seed(s.seed, "bosonic-detect")
     out1 = dr.photodetect(plus, config2, 1, det_seed)
     out2 = dr.photodetect(plus, config2, 1, det_seed)
-    det_dev = 0.0 if (out1[0] == out2[0] and max_abs(out1[1] - out2[1]) == 0.0) else 1.0
-    checks.append(_check(pre, "photodetection_deterministic_per_seed", det_dev, tol))
+    same = out1[0] == out2[0] and max_abs(out1[1] - out2[1]) == 0.0
+    yield "photodetection_deterministic_per_seed", 0.0 if same else 1.0
 
-    return checks
+
+def run_bosonic(config):
+    config2 = dr.FockConfig(2, config.cutoff)
+    config4 = dr.FockConfig(4, config.cutoff)
+    return _run(config, "bosonic", config2=config2, config4=config4,
+                frame=dr.dual_rail_frame(config2, 1, 2), csign=dr.csign(config4))
 
 
 # -------------------------------------------------------------- repetition
 
 
-def run_repetition(tol, seed, trials):
-    checks = []
-    pre = "repetition"
-    rng = np.random.default_rng(child_seed(seed, "repetition"))
+def _repetition_frame(s):
+    """Z_q = sum_a E_a Z_C E_a, X_q = sum_a E_a X_C E_a and Y = -i Z X, with
+    the whole 8-dim space as support, satisfy the six frame axioms."""
+    yield from _pairs(verify_frame(s.frame, s.tol), "frame/")
 
-    frame = rep.frame_from_errors()
-    _merge(f"{pre}/frame", verify_frame(frame, tol), checks)
 
-    enc_dev = max(
+def _repetition_code(s):
+    """encode(c0, c1) = c0 |000> + c1 |111>; the errors {1, X1, X2, X3} are
+    Hermitian involutions; the syndrome bits, read off the anticommutation
+    pattern with Z1 Z2 and Z2 Z3, match the static table."""
+    yield "encoding_examples", max(
         max_abs(rep.encode(1.0, 0.0) - basis_state(8, 0)),
         max_abs(rep.encode(0.0, 1.0) - basis_state(8, 7)),
         max_abs(rep.encode(1 / np.sqrt(2), 1 / np.sqrt(2))
                 - (basis_state(8, 0) + basis_state(8, 7)) / np.sqrt(2)),
     )
-    checks.append(_check(pre, "encoding_examples", enc_dev, tol))
-
-    inv_dev = max(
+    yield "errors_are_hermitian_involutions", max(
         max(max_abs(rep.error_operator(a) @ rep.error_operator(a) - identity(8)),
             max_abs(rep.error_operator(a) - dagger(rep.error_operator(a))))
         for a in range(4)
     )
-    checks.append(_check(pre, "errors_are_hermitian_involutions", inv_dev, tol))
+    matches = all(rep.syndrome_from_commutation(a) == rep.syndrome_of(a) for a in range(4))
+    yield "syndrome_table_matches_commutation", 0.0 if matches else 1.0
 
-    table_dev = 0.0 if all(
-        rep.syndrome_from_commutation(a) == rep.syndrome_of(a) for a in range(4)
-    ) else 1.0
-    checks.append(_check(pre, "syndrome_table_matches_commutation", table_dev, tol))
 
-    channel = rep.recovery_channel()
-    checks.append(_check(pre, "recovery_trace_preserving",
-                         channel.trace_preservation_defect(), tol))
+def _repetition_recovery(s):
+    """R_a = E_a sum_i |v_a^i><v_a^i| is trace preserving; R_a E_a is the
+    identity on the code, and R_a E_b with a != b annihilates it."""
+    channel = s.channel
+    yield "recovery_trace_preserving", channel.trace_preservation_defect()
 
     logicals = (rep.logical_zero(), rep.logical_one())
     match_dev = 0.0
@@ -248,59 +290,55 @@ def run_repetition(tol, seed, trials):
                     match_dev = max(match_dev, max_abs(w @ l - amp * l))
             else:
                 mismatch_dev = max(mismatch_dev, *(max_abs(w @ l) for l in logicals))
-    checks.append(_check(pre, "matched_recovery_is_identity_on_code", match_dev, tol))
-    checks.append(_check(pre, "mismatched_recovery_annihilates_code", mismatch_dev, tol))
+    yield "matched_recovery_is_identity_on_code", match_dev
+    yield "mismatched_recovery_annihilates_code", mismatch_dev
 
-    iso_q = rep.subsystem_iso_Q()
-    checks.append(_check(pre, "error_basis_iso_unitary",
-                         max_abs(dagger(iso_q.unitary) @ iso_q.unitary - identity(8)), tol))
-    map_dev = max(
+
+def _repetition_error_basis_iso(s):
+    """|v_a^i> -> |i> (x) |e_a> is unitary; errors leave the qubit factor
+    untouched (max(1, trials // 10) random states) and recovery resets the
+    syndrome factor to |e_0>."""
+    iso_q = s.iso_q
+    yield "error_basis_iso_unitary", max_abs(dagger(iso_q.unitary) @ iso_q.unitary - identity(8))
+    yield "error_basis_iso_vector_mapping", max(
         max_abs(iso_q.apply(rep.code_vector(a, i)) - basis_state(8, 4 * i + a))
         for a in range(4) for i in (0, 1)
     )
-    checks.append(_check(pre, "error_basis_iso_vector_mapping", map_dev, tol))
 
-    qfactor_dev = 0.0
-    for _ in range(max(1, trials // 10)):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        c = c / np.linalg.norm(c)
-        psi_q = c
+    dev = 0.0
+    for _ in range(max(1, s.trials // 10)):
+        c = _random_amplitudes(s.rng)
         for a in range(4):
             corrupted = rep.error_operator(a) @ rep.encode(c[0], c[1])
-            rho_q = np.asarray(
-                _reduced_q(iso_q.apply(corrupted)), dtype=complex
-            )
-            fidelity = np.vdot(psi_q, rho_q @ psi_q).real
-            qfactor_dev = max(qfactor_dev, abs(1.0 - fidelity))
-    checks.append(_check(pre, "errors_leave_qubit_factor_untouched", qfactor_dev, tol))
+            rho_q = partial_trace(density(iso_q.apply(corrupted)), (2, 4), {0})
+            dev = max(dev, abs(1.0 - np.vdot(c, rho_q @ c).real))
+    yield "errors_leave_qubit_factor_untouched", dev
 
-    reset_dev = max(
-        max_abs(iso_q.conjugate(channel.ops[a])
+    yield "recovery_resets_syndrome_factor", max(
+        max_abs(iso_q.conjugate(s.channel.ops[a])
                 - kron(identity(2), np.outer(basis_state(4, 0), basis_state(4, a).conj())))
         for a in range(4)
     )
-    checks.append(_check(pre, "recovery_resets_syndrome_factor", reset_dev, tol))
 
-    iso_qp = rep.subsystem_iso_Qprime()
-    perm_dev = max(
-        max_abs(iso_qp.apply(basis_state(8, 0b000)) - kron(basis_state(2, 0), basis_state(4, 0b00))),
-        max_abs(iso_qp.apply(basis_state(8, 0b100)) - kron(basis_state(2, 1), basis_state(4, 0b10))),
-        max_abs(iso_qp.apply(basis_state(8, 0b011)) - kron(basis_state(2, 0), basis_state(4, 0b10))),
-        max_abs(iso_qp.apply(basis_state(8, 0b111)) - kron(basis_state(2, 1), basis_state(4, 0b00))),
+
+def _repetition_stabilizer_iso(s):
+    """|abc> -> |a> (x) |a+b, b+c>: the global flip X1 X2 X3 is the qubit
+    flip, but the first error flips this qubit label too, so the label is
+    not protected (X1 is at spectral distance 1 from every 1 (x) G)."""
+    iso_qp = s.iso_qp
+    yield "stabilizer_iso_label_examples", max(
+        max_abs(iso_qp.apply(basis_state(8, abc)) - kron(basis_state(2, l), basis_state(4, m)))
+        for abc, l, m in ((0b000, 0, 0b00), (0b100, 1, 0b10), (0b011, 0, 0b10), (0b111, 1, 0b00))
     )
-    checks.append(_check(pre, "stabilizer_iso_label_examples", perm_dev, tol))
 
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    c = c / np.linalg.norm(c)
+    c = _random_amplitudes(s.rng)
     flipped = iso_qp.apply(rep.error_operator(1) @ rep.encode(c[0], c[1]))
     target = kron(np.array([c[1], c[0]]), basis_state(4, 0b10))
-    checks.append(_check(pre, "first_error_flips_stabilizer_qubit",
-                         max_abs(flipped - target), tol))
+    yield "first_error_flips_stabilizer_qubit", max_abs(flipped - target)
 
     global_flip = rep.error_operator(1) @ rep.error_operator(2) @ rep.error_operator(3)
-    checks.append(_check(pre, "global_flip_is_qubit_flip_in_stabilizer_iso",
-                         max_abs(iso_qp.conjugate(global_flip) - kron(sigma_x, identity(4))),
-                         tol))
+    yield "global_flip_is_qubit_flip_in_stabilizer_iso", max_abs(
+        iso_qp.conjugate(global_flip) - kron(sigma_x, identity(4)))
 
     e1p = iso_qp.conjugate(rep.error_operator(1))
     gauge_part = np.zeros((4, 4), dtype=complex)
@@ -310,237 +348,249 @@ def run_repetition(tol, seed, trials):
         gauge_part += dagger(kron(sel, identity(4))) @ e1p @ kron(sel, identity(4))
     gauge_part /= 2.0
     distance = np.linalg.norm(e1p - kron(identity(2), gauge_part), 2)
-    checks.append(_check(pre, "stabilizer_qubit_not_protected", abs(distance - 1.0), tol))
+    yield "stabilizer_qubit_not_protected", abs(distance - 1.0)
 
-    rho = density(random_haar_state(8, rng))
-    once = channel.apply(rho)
-    twice = channel.apply(once)
-    checks.append(_check(pre, "recovery_channel_idempotent", max_abs(twice - once), tol))
 
-    words = rep.error_recovery_words()
-    alg = OperatorAlgebra(tuple(words.values()), label="error_recovery_words")
-    summary = isotypic_decomposition_retrying(alg, seed=child_seed(seed, "rep-isotypic"))
-    iso_ok = (2, 4) in summary.as_multiset()
-    checks.append(_check(pre, "noise_recovery_algebra_isotypic_block", 0.0 if iso_ok else 1.0, tol))
+def _repetition_recovery_idempotent(s):
+    """Recovering twice equals recovering once, on a random density operator."""
+    once = s.channel.apply(density(random_haar_state(8, s.rng)))
+    yield "recovery_channel_idempotent", max_abs(s.channel.apply(once) - once)
 
+
+def _repetition_word_algebra(s):
+    """The sixteen words E_b R_a generate 1_2 (x) M_4: an isotypic block of
+    multiplicity 2 and dimension 4."""
+    words = OperatorAlgebra(tuple(rep.error_recovery_words().values()),
+                            label="error_recovery_words")
+    summary = isotypic_decomposition_retrying(words, seed=child_seed(s.seed, "rep-isotypic"))
+    yield "noise_recovery_algebra_isotypic_block", 0.0 if (2, 4) in summary.as_multiset() else 1.0
+
+
+def _repetition_protected_expectation(s):
+    """<Z_q> = 0.3 - 0.7 = -0.4 on sqrt(0.3)|000> + sqrt(0.7)|111> after the
+    error X2."""
     state = rep.error_operator(2) @ rep.encode(np.sqrt(0.3), np.sqrt(0.7))
-    checks.append(_check(pre, "protected_expectation_example",
-                         abs(expectation(frame.z, state) - (-0.4)), tol))
-
-    _merge(pre, rep.invariance_suite(trials, child_seed(seed, "rep-invariance"), tol), checks)
-    return checks
+    yield "protected_expectation_example", abs(expectation(s.frame.z, state) - (-0.4))
 
 
-def _reduced_q(phi):
-    """Qubit-factor reduced density operator of a 2x4 factored pure state."""
-    from .linalg import partial_trace
+def _repetition_invariance(s):
+    """Frame expectations are unchanged by single errors, by recovered
+    words and by error-then-recovery cycles on trials random encoded states;
+    the frame commutes with every word E_b R_a."""
+    yield from _pairs(rep.invariance_suite(s.trials, child_seed(s.seed, "rep-invariance"), s.tol))
 
-    return partial_trace(density(phi), (2, 4), {0})
+
+def run_repetition(config):
+    return _run(config, "repetition", frame=rep.frame_from_errors(),
+                channel=rep.recovery_channel(), iso_q=rep.subsystem_iso_Q(),
+                iso_qp=rep.subsystem_iso_Qprime())
 
 
 # -------------------------------------------------------------- collective
 
 
-def run_collective(tol, seed, trials):
-    checks = []
-    pre = "collective"
-    rng = np.random.default_rng(child_seed(seed, "collective"))
-
-    system = col.total_spin_ops()
-    sx, sy, sz = system.generators()
-    closure = max(
+def _collective_total_spin(s):
+    """[S_x, S_y] = i S_z and cyclic; S^2 splits the 8 dimensions into
+    spin-3/2 (dim 4) and two spin-1/2 routes (dim 2 each); |000> has
+    S_z = 3/2."""
+    sx, sy, sz = s.generators
+    yield "angular_momentum_closure", max(
         max_abs(commutator(sx, sy) - 1j * sz),
         max_abs(commutator(sy, sz) - 1j * sx),
         max_abs(commutator(sz, sx) - 1j * sy),
     )
-    checks.append(_check(pre, "angular_momentum_closure", closure, tol))
-
-    eigs = np.sort(np.linalg.eigvalsh(system.s2))
-    target = np.array([0.75] * 4 + [3.75] * 4)
-    checks.append(_check(pre, "casimir_multiplicities", max_abs(eigs - target), tol))
-
-    highest = basis_state(8, 0)
-    checks.append(_check(pre, "aligned_state_sz_eigenvalue",
-                         max_abs(sz @ highest - 1.5 * highest), tol))
-
-    _merge(pre, col.no_invariant_state_check(tol), checks)
-
-    s12, s23, s31 = col.scalars()
-    scalar_dev = max(
-        max_abs(commutator(s, g))
-        for s in (s12, s23, s31)
-        for g in system.generators()
-    )
-    checks.append(_check(pre, "scalars_commute_with_generators", scalar_dev, tol))
-
-    singlet = (basis_state(8, 0b010) - basis_state(8, 0b100)) / np.sqrt(2.0)
-    checks.append(_check(pre, "pair_singlet_scalar_eigenvalue",
-                         max_abs(s12 @ singlet + 3.0 * singlet), tol))
+    eigs = np.sort(np.linalg.eigvalsh(s.s2))
+    yield "casimir_multiplicities", max_abs(eigs - np.array([0.75] * 4 + [3.75] * 4))
     aligned = basis_state(8, 0)
-    checks.append(_check(pre, "pair_triplet_scalar_eigenvalue",
-                         max_abs(s12 @ aligned - aligned), tol))
+    yield "aligned_state_sz_eigenvalue", max_abs(sz @ aligned - 1.5 * aligned)
 
+
+def _collective_joint_kernel(s):
+    """No state of three spins is annihilated by S_x, S_y and S_z; two spins
+    have one such state and four spins two.  The singular-value gap at the
+    kernel threshold must be at least 1e-4."""
+    yield from _pairs(col.no_invariant_state_check(s.tol))
+
+
+def _collective_scalars(s):
+    """The rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j commute with
+    every S_alpha; s12 is -3 on the pair singlet and +1 on the triplet."""
+    s12, s23, s31 = col.scalars()
+    yield "scalars_commute_with_generators", max(
+        max_abs(commutator(sc, g)) for sc in (s12, s23, s31) for g in s.generators)
+    singlet = (basis_state(8, 0b010) - basis_state(8, 0b100)) / np.sqrt(2.0)
+    yield "pair_singlet_scalar_eigenvalue", max_abs(s12 @ singlet + 3.0 * singlet)
+    aligned = basis_state(8, 0)
+    yield "pair_triplet_scalar_eigenvalue", max_abs(s12 @ aligned - aligned)
+
+
+def _collective_protected_basis(s):
+    """Two explicit route bases, singlet-triplet and cube-root-of-unity
+    phases, are orthonormal with S^2 = 3/4 and S_z = +-1/2; on each, the
+    frame P = 1/2 - (s12 + s23 + s31)/6 with X, Y, Z built from rotation
+    scalars satisfies the six frame axioms."""
+    sz = s.generators[2]
     for flavor in col.FLAVORS:
-        basis = col.protected_basis(flavor)
-        v = basis.vectors
-        ortho = max_abs(dagger(v) @ v - identity(4))
-        checks.append(_check(pre, f"protected_basis_orthonormal_{flavor}", ortho, tol))
-        label_dev = max(
-            max_abs(system.s2 @ v - 0.75 * v),
+        v = col.protected_basis(flavor).vectors
+        yield f"protected_basis_orthonormal_{flavor}", max_abs(dagger(v) @ v - identity(4))
+        yield f"protected_basis_quantum_numbers_{flavor}", max(
+            max_abs(s.s2 @ v - 0.75 * v),
             max_abs(sz @ v - v @ np.diag([0.5, -0.5, 0.5, -0.5])),
         )
-        checks.append(_check(pre, f"protected_basis_quantum_numbers_{flavor}", label_dev, tol))
-        _merge(f"{pre}/frame_{flavor}", verify_frame(col.noiseless_frame(flavor), tol), checks)
+        yield from _pairs(verify_frame(s.frames[flavor], s.tol), f"frame_{flavor}/")
 
+
+def _collective_scalar_frame(s):
+    """tr P = 4; the omega frame's X is the swap of spins 1 and 2 on the
+    support and exchanges the route labels, and its Z is
+    (sqrt3/6) sum eps_abc sigma_a^1 sigma_b^2 sigma_c^3."""
     p_q = col.support_projector()
-    checks.append(_check(pre, "support_trace", abs(np.trace(p_q).real - 4.0), tol))
-
-    om = col.noiseless_frame("omega")
-    checks.append(_check(pre, "swap_equals_scalar_combination",
-                         max_abs(om.x - col.exchange_12() @ p_q), tol))
-    checks.append(_check(pre, "z_is_antisymmetric_triple_product",
-                         max_abs(om.z - (np.sqrt(3.0) / 6.0) * col.antisymmetric_product()),
-                         tol))
-
-    swap_dev = max(
-        max_abs(om.x @ col.protected_basis("omega").vector(0, +0.5)
-                - col.protected_basis("omega").vector(1, +0.5)),
-        max_abs(om.x @ col.protected_basis("omega").vector(1, -0.5)
-                - col.protected_basis("omega").vector(0, -0.5)),
+    yield "support_trace", abs(np.trace(p_q).real - 4.0)
+    om = s.frames["omega"]
+    yield "swap_equals_scalar_combination", max_abs(om.x - col.exchange_12() @ p_q)
+    yield "z_is_antisymmetric_triple_product", max_abs(
+        om.z - (np.sqrt(3.0) / 6.0) * col.antisymmetric_product())
+    basis = col.protected_basis("omega")
+    yield "swap_exchanges_route_labels", max(
+        max_abs(om.x @ basis.vector(0, +0.5) - basis.vector(1, +0.5)),
+        max_abs(om.x @ basis.vector(1, -0.5) - basis.vector(0, -0.5)),
     )
-    checks.append(_check(pre, "swap_exchanges_route_labels", swap_dev, tol))
 
-    alg = OperatorAlgebra(system.generators(), label="collective_noise")
-    checks.append(_check(pre, "noise_commutant_dimension",
-                         abs(len(commutant_basis(alg)) - 5), tol))
-    summary = isotypic_decomposition_retrying(alg, seed=child_seed(seed, "col-isotypic"))
-    iso_ok = summary.as_multiset() == ((1, 4), (2, 2))
-    checks.append(_check(pre, "noise_isotypic_blocks", 0.0 if iso_ok else 1.0, tol))
 
-    _merge(pre, col.noiseless_invariance_suite(trials, child_seed(seed, "col-invariance"), tol),
-           checks)
+def _collective_noise_algebra(s):
+    """The commutant of {S_alpha} has dimension 5 = 1^2 + 2^2; its isotypic
+    blocks (multiplicity, dimension) are (1, 4) and (2, 2)."""
+    yield "noise_commutant_dimension", abs(len(commutant_basis(s.noise)) - 5)
+    summary = isotypic_decomposition_retrying(s.noise, seed=child_seed(s.seed, "col-isotypic"))
+    yield "noise_isotypic_blocks", 0.0 if summary.as_multiset() == ((1, 4), (2, 2)) else 1.0
 
-    purity_dev = 0.0
+
+def _collective_invariance(s):
+    """Every frame member commutes with every S_alpha; in protected
+    coordinates each S_alpha is 1 (x) B with 2B a unit real Pauli
+    combination; frame expectations are invariant under trials random
+    collective unitaries."""
+    yield from _pairs(col.noiseless_invariance_suite(
+        s.trials, child_seed(s.seed, "col-invariance"), s.tol))
+
+
+def _collective_purity(s):
+    """|psi><psi| (x) rho_gauge has a pure qubit factor for any gauge state,
+    and its gauge factor keeps the purity of rho_gauge."""
+    dev = 0.0
     for flavor in col.FLAVORS:
         for rho_g in (identity(2) / 2.0,
                       np.diag([1.0, 0.0]).astype(complex),
                       np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)):
-            psi_q = random_haar_state(2, rng)
-            purity_dev = max(
-                purity_dev,
-                abs(col.purity_of_protected_qubit(psi_q, rho_g, flavor) - 1.0),
-            )
+            psi_q = random_haar_state(2, s.rng)
+            dev = max(dev, abs(col.purity_of_protected_qubit(psi_q, rho_g, flavor) - 1.0))
             gauge_purity = col.purity_of_protected_qubit(psi_q, rho_g, flavor, factor="gauge")
-            purity_dev = max(
-                purity_dev,
-                abs(gauge_purity - np.trace(rho_g @ rho_g).real),
-            )
-    checks.append(_check(pre, "protected_qubit_stays_pure", purity_dev, tol))
+            dev = max(dev, abs(gauge_purity - np.trace(rho_g @ rho_g).real))
+    yield "protected_qubit_stays_pure", dev
 
+
+def _collective_exchange_sector(s):
+    """Fixing s_z = +-1/2 gives two rank-2 qubits compatible with
+    exchange-only control (they commute with S_z) but not collectively
+    protected (some [O, S_x] reaches 0.1)."""
+    sx, _, sz = s.generators
     sector_dev = 0.0
     commute_sz = 0.0
     break_margin = np.inf
     for frame in col.exchange_sector_frames("omega"):
-        sector_dev = max(sector_dev, verify_frame(frame, tol).max_deviation,
+        sector_dev = max(sector_dev, verify_frame(frame, s.tol).max_deviation,
                          abs(np.trace(frame.support).real - 2.0))
         commute_sz = max(commute_sz,
                          max(max_abs(commutator(o, sz)) for o in frame.observables()))
         break_margin = min(break_margin,
                            max(max_abs(commutator(o, sx)) for o in frame.observables()))
-    checks.append(_check(pre, "exchange_sector_frames_valid", sector_dev, tol))
-    checks.append(_check(pre, "exchange_sector_commutes_with_sz", commute_sz, tol))
-    checks.append(_check(pre, "exchange_sector_not_collectively_protected",
-                         max(0.0, 0.1 - break_margin), tol))
+    yield "exchange_sector_frames_valid", sector_dev
+    yield "exchange_sector_commutes_with_sz", commute_sz
+    yield "exchange_sector_not_collectively_protected", max(0.0, 0.1 - break_margin)
 
-    _, residual = col.flavor_change_unitary()
-    checks.append(_check(pre, "flavors_differ_by_qubit_factor_unitary", residual, tol))
 
-    span_dev = 0.0
+def _collective_flavor_change(s):
+    """The two flavors differ by a unitary W (x) 1 on the qubit factor."""
+    yield "flavors_differ_by_qubit_factor_unitary", col.flavor_change_unitary()[1]
+
+
+def _collective_generated_algebra(s):
+    """P, X, Y, Z generate the full 4-dim operator algebra of the qubit on
+    the protected basis of either flavor."""
+    dev = 0.0
     for flavor in col.FLAVORS:
-        frame = col.noiseless_frame(flavor)
-        basis = col.protected_basis(flavor)
-        alg_f = OperatorAlgebra(frame.observables() + (frame.support,),
-                                label=f"frame_{flavor}")
-        dim = generated_algebra_dimension(alg_f, word_length=2, restrict_to=basis.vectors)
-        span_dev = max(span_dev, abs(dim - 4))
-    checks.append(_check(pre, "frame_generates_full_qubit_algebra", span_dev, tol))
+        frame = s.frames[flavor]
+        alg = OperatorAlgebra(frame.observables() + (frame.support,), label=f"frame_{flavor}")
+        dim = generated_algebra_dimension(
+            alg, word_length=2, restrict_to=col.protected_basis(flavor).vectors)
+        dev = max(dev, abs(dim - 4))
+    yield "frame_generates_full_qubit_algebra", dev
 
-    return checks
+
+def run_collective(config):
+    sx, sy, sz, s2 = col.total_spin_ops()
+    return _run(config, "collective", generators=(sx, sy, sz), s2=s2,
+                noise=OperatorAlgebra((sx, sy, sz), label="collective_noise"),
+                frames={flavor: col.noiseless_frame(flavor) for flavor in col.FLAVORS})
 
 
 # ----------------------------------------------------------------- algebra
 
 
-def run_algebra(tol, seed, trials):
-    checks = []
-    pre = "algebra"
-
+def _algebra_abstract_qubit(s):
+    """P = 1 with X, Y, Z the Pauli matrices passes every frame axiom;
+    halving Y breaks {A, B} = 2 delta_AB P, and the break is caught."""
     abstract = EncodedQubitFrame(
-        support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z, label="abstract_qubit"
-    )
-    checks.append(_check(pre, "abstract_qubit_frame_passes",
-                         verify_frame(abstract, tol).max_deviation, tol))
-
+        support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z, label="abstract_qubit")
+    yield "abstract_qubit_frame_passes", verify_frame(abstract, s.tol).max_deviation
     broken = EncodedQubitFrame(
-        support=identity(2), x=sigma_x, y=sigma_y / 2.0, z=sigma_z, label="broken_qubit"
-    )
-    broken_report = verify_frame(broken, tol)
-    detected = not broken_report.check("pairwise_anticommutators").passed
-    checks.append(_check(pre, "detects_broken_normalization", 0.0 if detected else 1.0, tol))
+        support=identity(2), x=sigma_x, y=sigma_y / 2.0, z=sigma_z, label="broken_qubit")
+    detected = not verify_frame(broken, s.tol).check("pairwise_anticommutators").passed
+    yield "detects_broken_normalization", 0.0 if detected else 1.0
 
-    pauli_alg = OperatorAlgebra((sigma_x, sigma_y, sigma_z), label="pauli")
-    basis = commutant_basis(pauli_alg)
-    comm_dev = abs(len(basis) - 1)
+
+def _algebra_commutant(s):
+    """The commutant, the joint nullspace of M -> MG - GM over generators
+    and adjoints, is the scalars for the Pauli matrices and all of M_2 for
+    the identity."""
+    basis = commutant_basis(s.pauli)
+    dev = abs(len(basis) - 1)
     if len(basis) == 1:
         b = basis[0]
         scaled = b / b[0, 0] if abs(b[0, 0]) > 0 else b
-        comm_dev = max(comm_dev, max_abs(scaled - identity(2)))
-    checks.append(_check(pre, "irreducible_commutant_is_scalars", comm_dev, tol))
+        dev = max(dev, max_abs(scaled - identity(2)))
+    yield "irreducible_commutant_is_scalars", dev
+    trivial = OperatorAlgebra((identity(2),), label="trivial")
+    yield "identity_generators_have_full_commutant", abs(len(commutant_basis(trivial)) - 4)
 
-    full = OperatorAlgebra((identity(2),), label="trivial")
-    checks.append(_check(pre, "identity_generators_have_full_commutant",
-                         abs(len(commutant_basis(full)) - 4), tol))
 
-    qubit_summary = isotypic_decomposition_retrying(pauli_alg, seed=child_seed(seed, "alg-pauli"))
-    checks.append(_check(pre, "pauli_isotypic_single_block",
-                         0.0 if qubit_summary.as_multiset() == ((1, 2),) else 1.0, tol))
+def _algebra_pauli_isotypic(s):
+    """A random central element leaves the Pauli algebra one block,
+    (multiplicity, dimension) = (1, 2)."""
+    summary = isotypic_decomposition_retrying(s.pauli, seed=child_seed(s.seed, "alg-pauli"))
+    yield "pauli_isotypic_single_block", 0.0 if summary.as_multiset() == ((1, 2),) else 1.0
 
-    system = col.total_spin_ops()
-    spin_alg = OperatorAlgebra(system.generators(), label="collective_noise")
-    member_dev = max(
-        max(max_abs(commutator(m, g)) for g in spin_alg.with_adjoints())
-        for m in commutant_basis(spin_alg)
+
+def _algebra_commutant_members(s):
+    """Every commutant member of the collective-noise algebra commutes with
+    each generator and adjoint."""
+    yield "commutant_members_commute", max(
+        max(max_abs(commutator(m, g)) for g in s.spin.with_adjoints())
+        for m in s.commutants[s.spin.label]
     )
-    checks.append(_check(pre, "commutant_members_commute", member_dev, tol))
 
-    words = rep.error_recovery_words()
-    word_alg = OperatorAlgebra(tuple(words.values()), label="error_recovery_words")
-    for alg, expected in ((spin_alg, 20), (word_alg, 16)):
+
+def _algebra_bicommutant(s):
+    """The double commutant equals the span of generator words up to length
+    4: dimension 20 for collective noise, 16 for the error-recovery words."""
+    for alg, expected in ((s.spin, 20), (s.words, 16)):
         bicomm = commutant_basis(
-            OperatorAlgebra(tuple(_hermitian_split(commutant_basis(alg))),
+            OperatorAlgebra(tuple(_hermitian_split(s.commutants[alg.label])),
                             label=f"{alg.label}-commutant")
         )
         span = generated_algebra_dimension(alg, word_length=4)
-        dev = max(abs(len(bicomm) - expected), abs(span - expected))
-        checks.append(_check(pre, f"bicommutant_matches_generated_{alg.label}", dev, tol))
-
-    seed_a = child_seed(seed, "alg-seeds-a")
-    seed_b = child_seed(seed, "alg-seeds-b")
-    same = (isotypic_decomposition_retrying(spin_alg, seed=seed_a).as_multiset()
-            == isotypic_decomposition_retrying(spin_alg, seed=seed_b).as_multiset())
-    checks.append(_check(pre, "isotypic_summary_seed_independent", 0.0 if same else 1.0, tol))
-
-    exp_dev = max(
-        abs(expectation(sigma_z, basis_state(2, 0)) - 1.0),
-        abs(expectation(sigma_x, basis_state(2, 0)) - 0.0),
-    )
-    checks.append(_check(pre, "expectation_examples", exp_dev, tol))
-
-    frame = rep.frame_from_errors()
-    alg_ok = frame_commutes_with(frame, word_alg, tol).all_pass
-    checks.append(_check(pre, "protected_frame_in_noise_commutant",
-                         0.0 if alg_ok else 1.0, tol))
-    return checks
+        yield (f"bicommutant_matches_generated_{alg.label}",
+               max(abs(len(bicomm) - expected), abs(span - expected)))
 
 
 def _hermitian_split(matrices):
@@ -551,14 +601,88 @@ def _hermitian_split(matrices):
     return out
 
 
+def _algebra_isotypic_seeds(s):
+    """The isotypic blocks of collective noise do not depend on the seed of
+    the random central element."""
+    a = isotypic_decomposition_retrying(s.spin, seed=child_seed(s.seed, "alg-seeds-a"))
+    b = isotypic_decomposition_retrying(s.spin, seed=child_seed(s.seed, "alg-seeds-b"))
+    yield "isotypic_summary_seed_independent", 0.0 if a.as_multiset() == b.as_multiset() else 1.0
+
+
+def _algebra_expectation(s):
+    """<0|Z|0> = 1 and <0|X|0> = 0."""
+    yield "expectation_examples", max(
+        abs(expectation(sigma_z, basis_state(2, 0)) - 1.0),
+        abs(expectation(sigma_x, basis_state(2, 0)) - 0.0),
+    )
+
+
+def _algebra_protected_frame(s):
+    """The error-built repetition frame commutes with every error-recovery
+    word E_b R_a."""
+    ok = frame_commutes_with(rep.frame_from_errors(), s.words, s.tol).all_pass
+    yield "protected_frame_in_noise_commutant", 0.0 if ok else 1.0
+
+
+def run_algebra(config):
+    spin = OperatorAlgebra(col.collective_ops(col.N_SPINS), label="collective_noise")
+    words = OperatorAlgebra(tuple(rep.error_recovery_words().values()),
+                            label="error_recovery_words")
+    return _run(config, "algebra", spin=spin, words=words,
+                pauli=OperatorAlgebra((sigma_x, sigma_y, sigma_z), label="pauli"),
+                commutants={alg.label: commutant_basis(alg) for alg in (spin, words)})
+
+
 # ------------------------------------------------------------------ driver
 
 
-_RUNNERS = {
-    "bosonic": lambda cfg: run_bosonic(cfg.tolerance, cfg.seed, cfg.trials, cfg.cutoff),
-    "repetition": lambda cfg: run_repetition(cfg.tolerance, cfg.seed, cfg.trials),
-    "collective": lambda cfg: run_collective(cfg.tolerance, cfg.seed, cfg.trials),
-    "algebra": lambda cfg: run_algebra(cfg.tolerance, cfg.seed, cfg.trials),
+_FAMILIES = {
+    "bosonic": (
+        _bosonic_frame,
+        _bosonic_projector_number_identity,
+        _bosonic_csign,
+        _bosonic_post_splitter,
+        _bosonic_logical_evolution,
+        _bosonic_phase_shifter,
+        _bosonic_beam_splitter,
+        _bosonic_prepared_states,
+        _bosonic_two_photon_sign_gate,
+        _bosonic_photodetection,
+    ),
+    "repetition": (
+        _repetition_frame,
+        _repetition_code,
+        _repetition_recovery,
+        _repetition_error_basis_iso,
+        _repetition_stabilizer_iso,
+        _repetition_recovery_idempotent,
+        _repetition_word_algebra,
+        _repetition_protected_expectation,
+        _repetition_invariance,
+    ),
+    "collective": (
+        _collective_total_spin,
+        _collective_joint_kernel,
+        _collective_scalars,
+        _collective_protected_basis,
+        _collective_scalar_frame,
+        _collective_noise_algebra,
+        _collective_invariance,
+        _collective_purity,
+        _collective_exchange_sector,
+        _collective_flavor_change,
+        _collective_generated_algebra,
+    ),
+    "algebra": (
+        _algebra_abstract_qubit,
+        _algebra_commutant,
+        _algebra_pauli_isotypic,
+        _algebra_commutant_members,
+        _algebra_bicommutant,
+        _algebra_isotypic_seeds,
+        _algebra_expectation,
+        _algebra_protected_frame,
+    ),
 }
 
 
@@ -570,9 +694,12 @@ def run_suite(config):
     """
     names = SUITE_NAMES[:-1] if config.suite == "all" else (config.suite,)
     checks = []
-    for name in names:
-        checks.extend(_RUNNERS[name](config))
-    doc = {
+    for suite in names:
+        # looked up by module-global name at call time, so a wrapper
+        # installed on the module attribute sees the call
+        for name, deviation in globals()[f"run_{suite}"](config):
+            checks.append(CheckResult.of(f"{suite}/{name}", deviation, config.tolerance))
+    return {
         "suite": config.suite,
         "config": {
             "tolerance": config.tolerance,
@@ -583,7 +710,6 @@ def run_suite(config):
         "checks": [c.to_json_dict() for c in checks],
         "all_pass": all(c.passed for c in checks),
     }
-    return doc
 
 
 def render_text(doc):
@@ -605,63 +731,17 @@ def render_text(doc):
     return "\n".join(lines) + "\n"
 
 
-_DESCRIPTIONS = {
-    "bosonic": (
-        ("frame/*", "P = unit-excitation projector of the pair; Z = (n_k' - n_k) P; "
-                    "X = (a_k^dag a_k' + a_k a_k'^dag) P; Y = -i Z X"),
-        ("projector_number_identity", "P (n_k + n_k') = (n_k + n_k') P = P (n_k + n_k') P"),
-        ("csign_*", "BS(1,3)^dag NS_1 NS_3 BS(1,3) = diag(1,1,1,-1) on the logical basis "
-                    "at theta = pi/4"),
-        ("post_splitter_*", "leakage of the coincident-photon state after the splitter "
-                            "alone equals sin^2(2 theta); at theta = pi/4 the transfer out of "
-                            "the logical space is complete, so the qubits exist only "
-                            "stroboscopically across the gate"),
-        ("logical_evolution_*", "exp(-i Z t) and exp(-i X t) preserve the code space"),
-        ("photodetection_*", "destructive number readout of one mode, Born sampling"),
-    ),
-    "repetition": (
-        ("frame/*", "Z_q = sum_a E_a Z_C E_a, X_q = sum_a E_a X_C E_a, Y = -i Z X; "
-                    "support is the whole 8-dim space"),
-        ("syndrome_*", "syndrome bits = anticommutation pattern with Z1 Z2 and Z2 Z3"),
-        ("*recovery*", "R_a = E_a sum_i |v_a^i><v_a^i|; R_a E_a = 1 on the code, "
-                       "R reset to the 00 syndrome"),
-        ("error_basis_iso_*", "|v_a^i> -> |i> (x) |e_a>: errors act on the syndrome "
-                              "factor only"),
-        ("stabilizer_iso_*", "|abc> -> |a> (x) |a+b, b+c>: the first error flips this "
-                             "qubit label, so it is not protected"),
-        ("*invariance*", "frame expectations unchanged by errors and recovery words"),
-    ),
-    "collective": (
-        ("joint_kernel_*", "no common null state of S_x, S_y, S_z for 3 spins; "
-                           "1 for 2 spins, 2 for 4 spins"),
-        ("casimir_*", "S^2 splits 8 dims into spin-3/2 (dim 4) and two spin-1/2 routes"),
-        ("protected_basis_*", "two explicit route bases: singlet-triplet and the "
-                              "cube-root-of-unity phases"),
-        ("frame_*", "P = 1/2 - (s12 + s23 + s31)/6; X, Y, Z built from rotation scalars"),
-        ("z_is_antisymmetric_triple_product", "Z = (sqrt3/6) sum eps_abc "
-                                              "sigma_a^1 sigma_b^2 sigma_c^3"),
-        ("noise_*", "commutant of {S_alpha} has dimension 5 = 1^2 + 2^2; blocks (1,4), (2,2)"),
-        ("exchange_sector_*", "fixing s_z = +-1/2 gives two rank-2 qubits compatible with "
-                              "exchange-only control but not collectively protected"),
-    ),
-    "algebra": (
-        ("abstract_qubit_*", "P = 1, X, Y, Z = the Pauli matrices"),
-        ("detects_broken_normalization", "halving Y breaks {A,B} = 2 delta_AB P"),
-        ("*commutant*", "commutant = joint nullspace of M -> MG - GM over generators"),
-        ("*isotypic*", "random central element splits the space into m x d blocks"),
-        ("bicommutant_*", "double commutant equals the span of generator words"),
-    ),
-}
-
-
 def describe(suite):
-    """Human-readable map from check families to the formulas they verify."""
+    """What each check family verifies: the docstrings of the families that
+    emit the checks, in emission order."""
     if suite == "all":
-        parts = [describe(name) for name in SUITE_NAMES[:-1]]
-        return "\n".join(parts)
-    if suite not in _DESCRIPTIONS:
+        return "\n".join(describe(name) for name in SUITE_NAMES[:-1])
+    if suite not in _FAMILIES:
         raise ValueError(f"unknown suite {suite!r}")
     lines = [f"[{suite}]"]
-    for family, text in _DESCRIPTIONS[suite]:
-        lines.append(f"  {family}: {text}")
+    for family in _FAMILIES[suite]:
+        key = family.__name__.removeprefix(f"_{suite}_")
+        lines.append(textwrap.fill(" ".join(family.__doc__.split()), width=79,
+                                   initial_indent=f"  {key}: ", subsequent_indent="    ",
+                                   break_on_hyphens=False))
     return "\n".join(lines) + "\n"

@@ -1,0 +1,28 @@
+"""Test-side predicates and random operators built on qubitbench.linalg."""
+
+import numpy as np
+
+from qubitbench.linalg import dagger, identity, is_hermitian, max_abs
+
+
+def is_unitary(a, tol=1e-9):
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    return max_abs(dagger(a) @ a - identity(a.shape[0])) <= tol
+
+
+def is_projector(a, tol=1e-9):
+    a = np.asarray(a)
+    if not is_hermitian(a, tol):
+        return False
+    return max_abs(a @ a - a) <= tol
+
+
+def random_hermitian(dim, seed):
+    """Gaussian random Hermitian matrix, deterministic per seed."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + dagger(z)) / 2.0

@@ -23,8 +23,7 @@ def test_suite_config_validation():
         SuiteConfig(trials=-1)
     with pytest.raises(ValueError):
         SuiteConfig(suite="bosonic", cutoff=1)
-    with pytest.raises(ValueError):
-        SuiteConfig(format="yaml")
+    assert main(["--format", "yaml"]) == 2
     # a sub-two cutoff is fine for suites that never build the optical gates
     SuiteConfig(suite="repetition", cutoff=1)
 
@@ -124,10 +123,24 @@ def test_cli_seed_changes_nothing_structural(capsys):
     assert doc5["all_pass"] and doc6["all_pass"]
 
 
+# The checks that only sample random states; every other check runs at any
+# trials value.
+RANDOMIZED_INVARIANCE_CHECKS = {
+    "repetition/single_error_expectation_invariance",
+    "repetition/recovered_word_expectation_invariance",
+    "repetition/error_then_recovery_channel_invariance",
+    "collective/collective_unitary_expectation_invariance_singlet_triplet",
+    "collective/collective_unitary_expectation_invariance_omega",
+}
+
+
 def test_cli_trials_zero_keeps_static_checks(capsys):
-    code, out, _ = run_cli(["--suite", "repetition", "--trials", "0"], capsys)
+    code, out, _ = run_cli(["--trials", "0", "--format", "json"], capsys)
     assert code == 0
-    assert "invariance" not in out or "all passed" in out
+    static = [c["name"] for c in json.loads(out)["checks"]]
+    full = [c["name"] for c in run_suite(SuiteConfig(trials=100))["checks"]]
+    assert static == [name for name in full if name not in RANDOMIZED_INVARIANCE_CHECKS]
+    assert len(static) == len(full) - 5
 
 
 def test_cli_describe(capsys):

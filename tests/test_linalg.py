@@ -17,18 +17,17 @@ from qubitbench.linalg import (
     evolve,
     identity,
     is_hermitian,
-    is_projector,
-    is_unitary,
     kron,
     kron_all,
     max_abs,
     partial_trace,
     random_haar_state,
-    random_hermitian,
     sigma_x,
     sigma_y,
     sigma_z,
 )
+
+from linalg_oracles import is_projector, is_unitary, random_hermitian
 
 
 def expm_taylor(m, terms=40):

@@ -1,8 +1,6 @@
 """Three-bit flip code: errors, syndromes, recovery, and the two subsystem
 pictures (error basis vs stabilizer labels)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -36,7 +34,6 @@ from qubitbench.repetition import (
     subsystem_iso_Qprime,
     syndrome_from_commutation,
     syndrome_of,
-    syndrome_table_json,
 )
 
 I2 = identity(2)
@@ -79,16 +76,6 @@ def test_syndrome_table_values():
     for a in range(4):
         assert syndrome_of(a) == SYNDROME_TABLE[a]
         assert syndrome_from_commutation(a) == SYNDROME_TABLE[a]
-
-
-def test_syndrome_table_json_round_trip():
-    rows = json.loads(syndrome_table_json())
-    assert rows == [
-        {"error": 0, "syndrome": "00"},
-        {"error": 1, "syndrome": "10"},
-        {"error": 2, "syndrome": "11"},
-        {"error": 3, "syndrome": "01"},
-    ]
 
 
 def test_logical_states_and_encoding():
@@ -252,7 +239,6 @@ def test_word_algebra_has_two_by_four_block():
 
 def test_invariance_suite_report_shape():
     report = invariance_suite(5, seed=1)
-    assert report.label == "repetition_invariance"
     assert report.all_pass
     names = [c.name for c in report.checks]
     assert "single_error_expectation_invariance" in names
@@ -264,10 +250,10 @@ def test_invariance_suite_report_shape():
 def test_invariance_suite_zero_trials_is_static():
     report = invariance_suite(0, seed=1)
     assert report.all_pass
-    assert len(report.checks) == 0
+    assert [c.name for c in report.checks] == ["frame_commutes_with_error_recovery_words"]
 
 
 def test_invariance_suite_deterministic_per_seed():
-    a = invariance_suite(4, seed=9).to_json()
-    b = invariance_suite(4, seed=9).to_json()
+    a = invariance_suite(4, seed=9).checks
+    b = invariance_suite(4, seed=9).checks
     assert a == b

@@ -1,0 +1,97 @@
+"""The check list of run_suite, the families that emit it, and the package
+names the benchmark tracer wraps."""
+
+import functools
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from qubitbench import suites
+from qubitbench.suites import SuiteConfig, describe, run_suite
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+REFERENCE = json.loads((BENCHMARKS / "reference_names.json").read_text())
+WORKLOADS = json.loads((BENCHMARKS / "workloads.json").read_text())["workloads"]
+PINNED = ("default-all", "bosonic-cutoff4")
+SEEDS = (0, 1, 7)
+
+
+def workload_config(workload, seed):
+    c = WORKLOADS[workload]["config"]
+    return SuiteConfig(suite=c["suite"], tolerance=c["tolerance"], seed=seed,
+                       trials=c["trials"], cutoff=c["cutoff"])
+
+
+def family_key(suite, family):
+    return family.__name__.removeprefix(f"_{suite}_")
+
+
+@pytest.mark.parametrize("workload", PINNED)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_check_names_match_benchmark_reference(workload, seed):
+    doc = run_suite(workload_config(workload, seed))
+    assert [c["name"] for c in doc["checks"]] == REFERENCE[workload]
+    assert doc["all_pass"]
+
+
+def test_every_check_belongs_to_one_described_family(monkeypatch):
+    emitted = []
+
+    def recording(suite, family):
+        @functools.wraps(family)
+        def wrapper(s):
+            for name, deviation in family(s):
+                emitted.append((f"{suite}/{name}", family_key(suite, family)))
+                yield name, deviation
+        return wrapper
+
+    for suite, families in list(suites._FAMILIES.items()):
+        monkeypatch.setitem(suites._FAMILIES, suite,
+                            tuple(recording(suite, f) for f in families))
+    configs = [workload_config(w, 0) for w in PINNED] + [SuiteConfig(trials=0)]
+    for config in configs:
+        emitted.clear()
+        names = [c["name"] for c in run_suite(config)["checks"]]
+        assert [name for name, _ in emitted] == names, config
+        assert len(set(names)) == len(names), config
+        for name, key in emitted:
+            suite = name.split("/")[0]
+            entries = [line for line in describe(suite).splitlines()
+                       if line.startswith(f"  {key}: ")]
+            assert len(entries) == 1, (name, key)
+            assert len(entries[0]) > len(f"  {key}: "), (name, key)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("qubitbench_tracer", BENCHMARKS / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
+    for span, module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{span}: {module}.{attr} is not defined"
+            owner = getattr(owner, part)
+        assert callable(owner), span
+    # the smoke check reads the evolve binding of suites
+    assert callable(suites.evolve)
+
+
+def test_tracer_sees_every_runner():
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    with t.report(1):
+        # through the module attribute: the tracer wraps package bindings only
+        suites.run_suite(SuiteConfig(suite="all", trials=0))
+    rows = t.summary(1)
+    for suite in suites.SUITE_NAMES[:-1]:
+        assert rows[f"suites.run_{suite}"]["calls"] == 1, suite
+    assert rows["suites.run_suite"]["calls"] == 1
+    assert rows["dualrail.csign"]["calls"] == 1
