@@ -12,6 +12,7 @@ S_z and S^2 are conserved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +27,15 @@ from .linalg import (
     commutator,
     dagger,
     embed,
-    evolve,
+    expectations,
     identity,
     kron,
     max_abs,
     partial_trace,
-    random_haar_state,
     sigma_x,
     sigma_y,
     sigma_z,
+    trial_chunks,
 )
 
 __all__ = [
@@ -151,34 +152,52 @@ def protected_basis(flavor):
 
     singlet_triplet builds on singlet/triplet states of spins 1 and 2; omega
     uses relative phases that are cube roots of unity and diagonalizes the
-    cyclic spin permutation.
+    cyclic spin permutation.  The returned basis is shared and read-only.
     """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _protected_basis(flavor)
+
+
+@functools.cache
+def _protected_basis(flavor):
+    # Built once per flavor; read-only because every caller shares it.
     if flavor == "singlet_triplet":
         v0p = (_ket("010") - _ket("100")) / np.sqrt(2.0)
         v0m = (_ket("101") - _ket("011")) / np.sqrt(2.0)
         v1p = (2.0 * _ket("001") - _ket("010") - _ket("100")) / np.sqrt(6.0)
         v1m = (2.0 * _ket("110") - _ket("101") - _ket("011")) / np.sqrt(6.0)
-    elif flavor == "omega":
+    else:
         w = np.exp(2j * np.pi / 3.0)
         v0p = (_ket("001") + w * _ket("010") + w ** 2 * _ket("100")) / np.sqrt(3.0)
         v0m = (_ket("110") + w * _ket("101") + w ** 2 * _ket("011")) / np.sqrt(3.0)
         v1p = (_ket("001") + w ** 2 * _ket("010") + w * _ket("100")) / np.sqrt(3.0)
         v1m = (_ket("110") + w ** 2 * _ket("101") + w * _ket("011")) / np.sqrt(3.0)
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     vectors = np.column_stack([v0p, v0m, v1p, v1m])
+    vectors.setflags(write=False)
     return ProtectedBasis(flavor=flavor, vectors=vectors)
 
 
 def scalars():
-    """Rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j for the 3 pairs."""
+    """Rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j for the 3 pairs.
+
+    Returns (s12, s23, s31); the arrays are shared and read-only.
+    """
+    return _scalars()
+
+
+@functools.cache
+def _scalars():
+    # Built on first use, not at import; read-only because every caller
+    # shares these three arrays.
     out = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         s = np.zeros((DIM, DIM), dtype=complex)
         for pauli in _PAULIS:
             s += embed(pauli, i, N_SPINS) @ embed(pauli, j, N_SPINS)
+        s.setflags(write=False)
         out.append(s)
-    return tuple(out)  # (s12, s23, s31)
+    return tuple(out)
 
 
 def exchange_12():
@@ -271,6 +290,21 @@ def pauli_coefficients(op2):
     return coeffs.real, float(residual)
 
 
+def _collective_unitaries(theta):
+    """exp(-i theta.S) for a stack of rotation vectors theta, shape (n, 3).
+
+    Collective noise rotates every spin alike, so the unitary is r (x) r (x) r
+    with r = cos(|theta|/2) 1 - i sin(|theta|/2) theta^.sigma; the sinc form of
+    sin(|theta|/2)/|theta| stays finite at theta = 0.
+    """
+    theta = np.asarray(theta, dtype=float)
+    angle = np.linalg.norm(theta, axis=-1)
+    r = (np.cos(angle / 2.0)[:, None, None] * identity(2)
+         - 0.5j * np.sinc(angle / (2.0 * np.pi))[:, None, None]
+         * np.einsum("na,aij->nij", theta, np.stack(_PAULIS)))
+    return np.einsum("nab,ncd,nef->nacebdf", r, r, r).reshape(-1, DIM, DIM)
+
+
 def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
     """Protection evidence for both flavors of the three-spin qubit.
 
@@ -278,6 +312,11 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
     generator, and in protected coordinates each generator is 1 (x) B with
     2B a unit-norm real Pauli combination.  Randomized part: expectations of
     the frame observables are invariant under random collective unitaries.
+
+    Trials run in stacks of at most linalg.TRIAL_CHUNK.  Per flavor, a stack
+    of n draws one standard normal block (n, 19): the rotation vector theta
+    is columns 0-2, Re psi columns 3-10 and Im psi columns 11-18, the same
+    numbers trial-by-trial draws of theta and a Haar state would take.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -286,7 +325,7 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
     checks = []
     for flavor in FLAVORS:
         frame = noiseless_frame(flavor)
-        members = frame.observables() + (frame.support,)
+        members = np.stack(frame.observables() + (frame.support,))
 
         commute_dev = max(
             max_abs(commutator(o, s))
@@ -305,16 +344,12 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
 
         if trials > 0:
             dev = 0.0
-            for _ in range(trials):
-                theta = rng.standard_normal(3)
-                h = sum(t * s for t, s in zip(theta, generators))
-                u = evolve(h, 1.0)
-                psi = random_haar_state(DIM, rng)
-                phi = u @ psi
-                for o in members:
-                    before = np.vdot(psi, o @ psi).real
-                    after = np.vdot(phi, o @ phi).real
-                    dev = max(dev, abs(after - before))
+            for n in trial_chunks(trials):
+                draws = rng.standard_normal((n, 19))
+                psi = draws[:, 3:11] + 1j * draws[:, 11:]
+                psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+                phi = np.einsum("nij,nj->ni", _collective_unitaries(draws[:, :3]), psi)
+                dev = max(dev, max_abs(expectations(phi, members) - expectations(psi, members)))
             checks.append(CheckResult.of(
                 f"collective_unitary_expectation_invariance_{flavor}", dev, tol))
     return VerificationReport(checks)

@@ -37,8 +37,11 @@ __all__ = [
     "eigh",
     "evolve",
     "partial_trace",
+    "expectations",
     "random_haar_state",
     "child_seed",
+    "TRIAL_CHUNK",
+    "trial_chunks",
     "KrausChannel",
 ]
 
@@ -140,10 +143,22 @@ def eigh(h, tol=1e-9):
 
 
 def evolve(h, t):
-    """Unitary exp(-i h t) for Hermitian h, via eigendecomposition."""
+    """Unitary exp(-i h t) for Hermitian h, via eigendecomposition.
+
+    t may be an array of times: h is diagonalized once and the result stacks
+    one unitary per time, shape t.shape + h.shape.
+    """
     w, v = eigh(h)
-    phases = np.exp(-1j * w * t)
-    return (v * phases) @ dagger(v)
+    phases = np.exp(-1j * w * np.asarray(t)[..., None])
+    return (v * phases[..., None, :]) @ dagger(v)
+
+
+def expectations(states, ops):
+    """Re <psi|O_k|psi> for a stack of kets (..., d) and operators (k, d, d).
+
+    Returns shape (..., k).
+    """
+    return np.einsum("...i,kij,...j->...k", states.conj(), ops, states).real
 
 
 def partial_trace(rho, dims, keep):
@@ -186,6 +201,17 @@ def random_haar_state(dim, seed):
     rng = _as_rng(seed)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+# Randomized checks evaluate their trials in stacks of at most this many, so
+# their working memory does not grow with the number of trials.
+TRIAL_CHUNK = 256
+
+
+def trial_chunks(trials):
+    """Stack sizes covering trials: full TRIAL_CHUNK stacks, then the rest."""
+    for start in range(0, trials, TRIAL_CHUNK):
+        yield min(TRIAL_CHUNK, trials - start)
 
 
 def child_seed(seed, name):

@@ -31,10 +31,12 @@ from .linalg import (
     dagger,
     density,
     embed,
+    expectations,
     identity,
     max_abs,
     sigma_x,
     sigma_z,
+    trial_chunks,
 )
 
 __all__ = [
@@ -123,8 +125,10 @@ def logical_one():
 
 
 def encode(c0, c1, tol=1e-9):
-    norm = abs(c0) ** 2 + abs(c1) ** 2
-    if abs(norm - 1.0) > tol:
+    """c0 |000> + c1 |111>; arrays of amplitudes give a stack of states."""
+    c0 = np.asarray(c0)[..., None]
+    c1 = np.asarray(c1)[..., None]
+    if np.any(np.abs(np.abs(c0) ** 2 + np.abs(c1) ** 2 - 1.0) > tol):
         raise ValueError("encode requires |c0|^2 + |c1|^2 = 1")
     return c0 * logical_zero() + c1 * logical_one()
 
@@ -228,12 +232,6 @@ def error_recovery_words():
     return words
 
 
-def _random_encoded(rng):
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    c = c / np.linalg.norm(c)
-    return encode(c[0], c[1])
-
-
 def invariance_suite(trials, seed=0, tol=1e-9):
     """Randomized evidence that the error-built frame ignores the noise.
 
@@ -242,42 +240,50 @@ def invariance_suite(trials, seed=0, tol=1e-9):
     by error-then-full-recovery cycles at the density-operator level.  The
     frame also commutes with every word E_b R_a.  trials = 0 drops the three
     randomized checks and keeps the static commutation check.
+
+    Trials run in stacks of at most linalg.TRIAL_CHUNK.  Each stack of n
+    draws its randomness in blocks: the amplitudes (n, 4), then the word and
+    cycle lengths (n, 2) in 1..3, then the letters (n, 2, 3), of which a
+    trial uses as many as its length.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     rng = np.random.default_rng(seed)
     frame = frame_from_errors()
     channel = recovery_channel()
-    obs = frame.observables()
+    obs = np.stack(frame.observables())
+    errors = np.stack(_error_operators())
+    # pure-state word letters R_b E_b: each reset matches the preceding
+    # error, the only branch with nonzero amplitude
+    word_steps = np.stack(channel.ops) @ errors
 
     single_dev = 0.0
     word_dev = 0.0
     channel_dev = 0.0
-    for _ in range(trials):
-        psi = _random_encoded(rng)
-        ref = [np.vdot(psi, o @ psi).real for o in obs]
+    for n in trial_chunks(trials):
+        amps = rng.standard_normal((n, 4))
+        lengths = rng.integers(1, 4, size=(n, 2))
+        letters = rng.integers(0, 4, size=(n, 2, 3))
+        c = amps[:, :2] + 1j * amps[:, 2:]
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        psi = encode(c[:, 0], c[:, 1])
+        ref = expectations(psi, obs)
 
-        for a in range(4):
-            phi = error_operator(a) @ psi
-            for o, r in zip(obs, ref):
-                single_dev = max(single_dev, abs(np.vdot(phi, o @ phi).real - r))
+        corrupted = np.einsum("aij,nj->nai", errors, psi)
+        single_dev = max(single_dev, max_abs(expectations(corrupted, obs) - ref[:, None]))
 
-        # pure-state word: each reset matches the preceding error, the only
-        # branch with nonzero amplitude
         phi = psi.copy()
-        for _ in range(int(rng.integers(1, 4))):
-            b = int(rng.integers(0, 4))
-            phi = channel.ops[b] @ (error_operator(b) @ phi)
-            for o, r in zip(obs, ref):
-                word_dev = max(word_dev, abs(np.vdot(phi, o @ phi).real - r))
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        for step in range(3):
+            word = lengths[:, 0] > step
+            phi[word] = np.einsum("nij,nj->ni", word_steps[letters[word, 0, step]], phi[word])
+            word_dev = max(word_dev, max_abs(expectations(phi[word], obs) - ref[word]))
 
-        rho = density(psi)
-        for _ in range(int(rng.integers(1, 4))):
-            b = int(rng.integers(0, 4))
-            e = error_operator(b)
-            rho = channel.apply(e @ rho @ e)
-            for o, r in zip(obs, ref):
-                channel_dev = max(channel_dev, abs(np.trace(rho @ o).real - r))
+            cycle = lengths[:, 1] > step
+            e = errors[letters[cycle, 1, step]]
+            rho[cycle] = channel.apply(e @ rho[cycle] @ e)
+            channel_dev = max(channel_dev, max_abs(
+                np.einsum("nij,kji->nk", rho[cycle], obs).real - ref[cycle]))
 
     words = error_recovery_words()
     alg = OperatorAlgebra(tuple(words.values()), label="error_recovery_words")

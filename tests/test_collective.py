@@ -6,6 +6,7 @@ import pytest
 
 from qubitbench.collective import (
     FLAVORS,
+    _collective_unitaries,
     antisymmetric_product,
     collective_ops,
     exchange_12,
@@ -28,6 +29,7 @@ from qubitbench.linalg import (
     basis_state,
     commutator,
     dagger,
+    evolve,
     identity,
     kron_all,
     max_abs,
@@ -104,6 +106,15 @@ def scalar_oracle(i, j):
         ops_ij[j] = p
         total = total + kron_all(*ops_ij)
     return total
+
+
+def test_scalars_and_protected_bases_are_shared_and_read_only():
+    arrays = list(scalars()) + [protected_basis(f).vectors for f in FLAVORS]
+    assert all(a is b for a, b in zip(scalars(), scalars()))
+    assert all(protected_basis(f) is protected_basis(f) for f in FLAVORS)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
 
 
 def test_rotation_scalars_match_oracle():
@@ -249,6 +260,19 @@ def test_commutant_of_collective_noise():
     alg = OperatorAlgebra(collective_ops(3), "collective")
     basis = commutant_basis(alg)
     assert len(basis) == 5
+
+
+def test_collective_unitaries_match_evolve():
+    rng = np.random.default_rng(8)
+    tiny = 1e-12 * np.array([0.6, -0.8, 0.0])
+    thetas = np.vstack([rng.standard_normal((6, 3)), np.zeros((1, 3)), tiny])
+    sx, sy, sz = collective_ops(3)
+    unitaries = _collective_unitaries(thetas)
+    assert unitaries.shape == (len(thetas), 8, 8)
+    for theta, u in zip(thetas, unitaries):
+        expected = evolve(theta[0] * sx + theta[1] * sy + theta[2] * sz, 1.0)
+        assert max_abs(u - expected) < 1e-12, theta
+    assert max_abs(unitaries[-2] - identity(8)) == 0.0
 
 
 def test_invariance_suite_runs_green():

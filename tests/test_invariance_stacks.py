@@ -1,0 +1,189 @@
+"""The stacked randomized invariance checks against per-trial oracles.
+
+Both invariance suites evaluate their trials as numpy stacks.  The oracles
+below run the same draws one 8-dim state at a time, with scalar products
+only.  Many deviations are exactly 0.0 for the protected frames, so the
+stacked and scalar paths are also compared on unprotected frames, where a
+stacked expression that compared a state with itself would read 0.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qubitbench import collective as col
+from qubitbench import repetition as rep
+from qubitbench.frames import EncodedQubitFrame
+from qubitbench.linalg import (
+    TRIAL_CHUNK,
+    KrausChannel,
+    embed,
+    evolve,
+    identity,
+    random_haar_state,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+)
+
+TRIALS = (1, 7, TRIAL_CHUNK + 3)
+SEEDS = (0, 1, 3)
+
+REPETITION_RANDOMIZED = (
+    "single_error_expectation_invariance",
+    "recovered_word_expectation_invariance",
+    "error_then_recovery_channel_invariance",
+)
+
+
+def _expectation_defect(dev, state, obs, ref):
+    return max(dev, *(abs(np.vdot(state, o @ state).real - r) for o, r in zip(obs, ref)))
+
+
+def repetition_oracle(trials, seed, frame, channel):
+    """Per-trial deviations of the three randomized repetition checks.
+
+    Draws per stack of at most TRIAL_CHUNK trials, in the suite's order:
+    amplitudes (n, 4), lengths (n, 2), letters (n, 2, 3).
+    """
+    rng = np.random.default_rng(seed)
+    obs = frame.observables()
+    errors = [rep.error_operator(a) for a in range(4)]
+    single = word = cycle = 0.0
+    for start in range(0, trials, TRIAL_CHUNK):
+        n = min(TRIAL_CHUNK, trials - start)
+        amps = rng.standard_normal((n, 4))
+        lengths = rng.integers(1, 4, size=(n, 2))
+        letters = rng.integers(0, 4, size=(n, 2, 3))
+        for i in range(n):
+            c = amps[i, :2] + 1j * amps[i, 2:]
+            c = c / np.linalg.norm(c)
+            psi = rep.encode(c[0], c[1])
+            ref = [np.vdot(psi, o @ psi).real for o in obs]
+            for e in errors:
+                single = _expectation_defect(single, e @ psi, obs, ref)
+            phi = psi
+            for b in letters[i, 0, : lengths[i, 0]]:
+                phi = channel.ops[b] @ (errors[b] @ phi)
+                word = _expectation_defect(word, phi, obs, ref)
+            rho = np.outer(psi, psi.conj())
+            for b in letters[i, 1, : lengths[i, 1]]:
+                rho = channel.apply(errors[b] @ rho @ errors[b])
+                cycle = max(cycle, *(abs(np.trace(rho @ o).real - r) for o, r in zip(obs, ref)))
+    return dict(zip(REPETITION_RANDOMIZED, (single, word, cycle)))
+
+
+def collective_oracle(trials, seed, frame_of):
+    """Per-trial deviations of the collective randomized check, per flavor.
+
+    Draws trial by trial as theta = standard_normal(3) followed by a Haar
+    state, and exponentiates theta.S by eigendecomposition.
+    """
+    rng = np.random.default_rng(seed)
+    generators = col.collective_ops(col.N_SPINS)
+    out = {}
+    for flavor in col.FLAVORS:
+        frame = frame_of(flavor)
+        members = frame.observables() + (frame.support,)
+        dev = 0.0
+        for _ in range(trials):
+            theta = rng.standard_normal(3)
+            u = evolve(sum(t * s for t, s in zip(theta, generators)), 1.0)
+            psi = random_haar_state(col.DIM, rng)
+            before = [np.vdot(psi, o @ psi).real for o in members]
+            dev = _expectation_defect(dev, u @ psi, members, before)
+        out[f"collective_unitary_expectation_invariance_{flavor}"] = dev
+    return out
+
+
+def randomized(report, names):
+    return {c.name: c.max_deviation for c in report.checks if c.name in names}
+
+
+def qubit_one_frame(n_sites):
+    """Paulis on the first physical qubit or spin: unprotected by both codes."""
+    return EncodedQubitFrame(
+        support=identity(2 ** n_sites), x=embed(sigma_x, 0, n_sites),
+        y=embed(sigma_y, 0, n_sites), z=embed(sigma_z, 0, n_sites), label="qubit_one")
+
+
+def miscorrecting_channel():
+    """K_a = E_(a+1 mod 4) / 2: trace preserving, but the branch that follows
+    the error E_a applies the next error instead of undoing it."""
+    return KrausChannel(tuple(rep.error_operator((a + 1) % 4) / 2.0 for a in range(4)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_repetition_stacks_match_per_trial_oracle(trials, seed):
+    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    expected = repetition_oracle(trials, seed, rep.frame_from_errors(), rep.recovery_channel())
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert abs(got[name] - dev) <= 1e-12, name
+        assert got[name] <= 1e-9, name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_repetition_stacks_are_sensitive(trials, seed, monkeypatch):
+    # Recovered words and recovery cycles return every code state exactly,
+    # whatever the frame; only a recovery that miscorrects lets the
+    # unprotected frame show in those two checks.
+    frame, channel = qubit_one_frame(3), miscorrecting_channel()
+    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
+    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
+    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    expected = repetition_oracle(trials, seed, frame, channel)
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert got[name] > 0.1, name
+        assert abs(got[name] - dev) <= 1e-12, name
+
+
+def collective_names():
+    return {f"collective_unitary_expectation_invariance_{f}" for f in col.FLAVORS}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_collective_stacks_match_per_trial_oracle(trials, seed):
+    got = randomized(col.noiseless_invariance_suite(trials, seed), collective_names())
+    expected = collective_oracle(trials, seed, col.noiseless_frame)
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert abs(got[name] - dev) <= 1e-12, name
+        assert got[name] <= 1e-9, name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_collective_stacks_are_sensitive(trials, seed, monkeypatch):
+    frame = qubit_one_frame(3)
+    monkeypatch.setattr(col, "noiseless_frame", lambda flavor: frame)
+    got = randomized(col.noiseless_invariance_suite(trials, seed), collective_names())
+    expected = collective_oracle(trials, seed, lambda flavor: frame)
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert got[name] > 0.1, name
+        assert abs(got[name] - dev) <= 1e-12, name
+
+
+MEMORY_GUARD_BYTES = 4 * 2**20
+
+
+@pytest.mark.parametrize("suite", [rep.invariance_suite, col.noiseless_invariance_suite],
+                         ids=lambda f: f.__name__)
+def test_invariance_suite_peak_memory_guard(suite):
+    suite(1)  # builds the shared constants outside the measurement
+    peaks = {}
+    for trials in (1_000, 10_000):
+        tracemalloc.start()
+        try:
+            suite(trials)
+            _, peaks[trials] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[10_000] < MEMORY_GUARD_BYTES, f"peaked at {peaks[10_000] / 2**20:.2f} MB"
+    assert peaks[10_000] <= 1.5 * peaks[1_000], peaks

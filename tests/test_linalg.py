@@ -143,6 +143,15 @@ def test_evolve_pauli_rotations():
     assert max_abs(ket1 - (-1j) * basis_state(2, 1)) < 1e-14
 
 
+def test_evolve_broadcasts_over_times():
+    h = random_hermitian(5, 21)
+    ts = np.array([[0.0, 0.3, -1.2], [2.5, 7.5, -0.01]])
+    stack = evolve(h, ts)
+    assert stack.shape == ts.shape + h.shape
+    expected = np.array([[evolve(h, t) for t in row] for row in ts])
+    assert max_abs(stack - expected) < 1e-14
+
+
 def test_evolve_inverts_under_time_reversal():
     for dim in (2, 5, 16):
         h = random_hermitian(dim, dim)

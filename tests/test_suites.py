@@ -15,7 +15,7 @@ from qubitbench.suites import SuiteConfig, describe, run_suite
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 REFERENCE = json.loads((BENCHMARKS / "reference_names.json").read_text())
 WORKLOADS = json.loads((BENCHMARKS / "workloads.json").read_text())["workloads"]
-PINNED = ("default-all", "bosonic-cutoff4")
+PINNED = ("default-all", "bosonic-cutoff4", "trials-heavy")
 SEEDS = (0, 1, 7)
 
 
