@@ -9,6 +9,12 @@ gate, and their conditional-sign composition), plus leakage bookkeeping and
 destructive photodetection.  Diagonal operators (occupation numbers, pair
 projectors, the sign gate) are returned as their diagonals, 1-D arrays.
 
+The two-mode gates are exponentiated on the (cutoff+1)^2 space of the two
+modes they touch and lifted to the register with ``linalg.embed``.  This is
+exact, not an approximation: the truncation is per mode, so a two-mode
+generator on the register is that generator (x) 1, and so is its
+exponential.
+
 Mode indices are 1-based; mode 1 is the most significant index of the basis
 ordering.
 """
@@ -25,7 +31,6 @@ from .linalg import dagger, embed, evolve
 __all__ = [
     "FockConfig",
     "fock_state",
-    "occupations_of_index",
     "index_of_occupations",
     "annihilation",
     "creation",
@@ -76,17 +81,6 @@ class FockConfig:
     def check_mode(self, k):
         if not 1 <= k <= self.num_modes:
             raise ValueError(f"mode index {k} outside 1..{self.num_modes}")
-
-
-def occupations_of_index(config, index):
-    """Occupation tuple (n_1, ..., n_2n) for a flat basis index."""
-    occs = []
-    rem = int(index)
-    for pos in range(config.num_modes):  # mode 1 is the most significant digit
-        power = config.mode_dim ** (config.num_modes - 1 - pos)
-        n, rem = divmod(rem, power)
-        occs.append(n)
-    return tuple(occs)
 
 
 def index_of_occupations(config, occs):
@@ -174,16 +168,21 @@ def phase_shifter(config, k, phi):
 def beam_splitter(config, k, l, theta, phi=0.0):
     """exp(theta (e^{i phi} a_k^dag a_l - e^{-i phi} a_k a_l^dag)).
 
-    Conserves n_k + n_l, so matrix elements between states whose joint
-    occupation stays within the cutoff are free of truncation error.
+    Exponentiated on the (cutoff+1)^2 space of modes (k, l), mode k first,
+    and lifted to the register as that gate on (k, l) and the identity on
+    the other modes.  The lift is exact: truncation is per mode, so the
+    register generator is the two-mode generator (x) 1.  Conserves
+    n_k + n_l, so matrix elements between states whose joint occupation
+    stays within the cutoff are free of truncation error.
     """
     config.check_mode(k)
     config.check_mode(l)
     if k == l:
         raise ValueError("beam splitter needs two distinct modes")
-    hop = np.exp(1j * phi) * (creation(config, k) @ annihilation(config, l))
+    a = _single_mode_lowering(config.mode_dim)
+    hop = np.exp(1j * phi) * np.kron(dagger(a), a)  # a_k^dag a_l on the pair
     generator = 1j * (hop - dagger(hop))  # Hermitian; exp(-i generator theta) below
-    return evolve(generator, theta)
+    return embed(evolve(generator, theta), (k - 1, l - 1), config.num_modes)
 
 
 def ns_gate(config, k):
@@ -201,15 +200,20 @@ def csign(config, q1_modes=(1, 2), q2_modes=(3, 4), theta=np.pi / 4, phi=0.0):
     Composition: a beam splitter between the first modes of the two pairs,
     the sign-on-two-photons gate on each of those modes, then the inverse
     beam splitter.  At theta = pi/4 the restriction to the two-qubit logical
-    space is diag(1, 1, 1, -1).
+    space is diag(1, 1, 1, -1).  All three factors act on those two modes
+    only, so the product is formed on their (cutoff+1)^2 space and lifted
+    to the register once; as for beam_splitter, the lift is exact.
     """
     if config.cutoff < 2:
         raise ValueError("csign needs cutoff >= 2")
     k1 = q1_modes[0]
     k2 = q2_modes[0]
-    u_bs = beam_splitter(config, k1, k2, theta, phi)
-    signs = ns_gate(config, k1) * ns_gate(config, k2)
-    return (dagger(u_bs) * signs) @ u_bs
+    config.check_mode(k1)
+    config.check_mode(k2)
+    pair = FockConfig(2, config.cutoff)
+    u_bs = beam_splitter(pair, 1, 2, theta, phi)
+    signs = ns_gate(pair, 1) * ns_gate(pair, 2)
+    return embed((dagger(u_bs) * signs) @ u_bs, (k1 - 1, k2 - 1), config.num_modes)
 
 
 def leakage(state, config, pairs):

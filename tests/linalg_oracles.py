@@ -1,4 +1,5 @@
-"""Test-side predicates and random operators built on qubitbench.linalg."""
+"""Test-side predicates, random operators and index helpers built on
+qubitbench.linalg."""
 
 import numpy as np
 
@@ -26,3 +27,14 @@ def random_hermitian(dim, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + dagger(z)) / 2.0
+
+
+def occupations_of_index(config, index):
+    """Occupation tuple (n_1, ..., n_2n) of a flat Fock basis index of config."""
+    occs = []
+    rem = int(index)
+    for pos in range(config.num_modes):  # mode 1 is the most significant digit
+        power = config.mode_dim ** (config.num_modes - 1 - pos)
+        n, rem = divmod(rem, power)
+        occs.append(n)
+    return tuple(occs)

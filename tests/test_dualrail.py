@@ -23,7 +23,6 @@ from qubitbench.dualrail import (
     ns_gate,
     number,
     occupation_table,
-    occupations_of_index,
     phase_shifter,
     photodetect,
     prepare_logical,
@@ -33,11 +32,12 @@ from qubitbench.linalg import (
     child_seed,
     commutator,
     dagger,
+    evolve,
     identity,
     max_abs,
 )
 
-from linalg_oracles import is_unitary
+from linalg_oracles import is_unitary, occupations_of_index
 
 
 def lowering_oracle(cutoff):
@@ -55,6 +55,23 @@ def mode_op_oracle(config, k, op):
     for mode in range(1, config.num_modes + 1):
         out = np.kron(out, op if mode == k else np.eye(d, dtype=complex))
     return out
+
+
+def dense_beam_splitter_oracle(config, k, l, theta, phi):
+    """The full-register path: the generator built on every mode, then evolve."""
+    lower = lowering_oracle(config.cutoff)
+    a_k = mode_op_oracle(config, k, lower)
+    a_l = mode_op_oracle(config, l, lower)
+    hop = np.exp(1j * phi) * (dagger(a_k) @ a_l)
+    return evolve(1j * (hop - dagger(hop)), theta)
+
+
+def dense_csign_oracle(config, k1, k2, theta, phi):
+    """BS^dag NS_k1 NS_k2 BS with every factor dense on the register."""
+    u_bs = dense_beam_splitter_oracle(config, k1, k2, theta, phi)
+    ns = np.diag(np.where(np.arange(config.mode_dim) >= 2, -1.0, 1.0))
+    signs = np.diag(mode_op_oracle(config, k1, ns) @ mode_op_oracle(config, k2, ns))
+    return (dagger(u_bs) * signs) @ u_bs
 
 
 def test_config_validation():
@@ -208,6 +225,55 @@ def test_coincident_photons_bunch_as_sine_curve():
         out = beam_splitter(config, 1, 2, float(theta)) @ coincident
         stay = abs(np.vdot(coincident, out)) ** 2
         assert abs(stay - np.cos(2 * theta) ** 2) < 1e-12
+
+
+def ordered_pairs(num_modes):
+    return [(k, l) for k in range(1, num_modes + 1)
+            for l in range(1, num_modes + 1) if k != l]
+
+
+# At 6 modes and cutoff 2 each dense oracle is a 729 x 729 eigendecomposition,
+# so four pairs stand for the rest: both ends, reversed, adjacent and apart.
+@pytest.mark.parametrize("num_modes,cutoff,pairs", [
+    (4, 1, ordered_pairs(4)),
+    (4, 2, ordered_pairs(4)),
+    (4, 3, ordered_pairs(4)),
+    (6, 1, ordered_pairs(6)),
+    (6, 2, [(1, 6), (6, 1), (2, 5), (4, 3)]),
+], ids=["4-modes-cutoff1", "4-modes-cutoff2", "4-modes-cutoff3",
+        "6-modes-cutoff1", "6-modes-cutoff2"])
+def test_beam_splitter_matches_dense_register_oracle(num_modes, cutoff, pairs):
+    config = FockConfig(num_modes, cutoff)
+    rng = np.random.default_rng(100 * num_modes + cutoff)
+    for k, l in pairs:
+        theta = float(rng.uniform(0, np.pi))
+        phi = float(rng.uniform(0, 2 * np.pi))
+        u = beam_splitter(config, k, l, theta, phi)
+        assert max_abs(u - dense_beam_splitter_oracle(config, k, l, theta, phi)) < 1e-12, (k, l)
+
+
+@pytest.mark.parametrize("num_modes,q1_modes,q2_modes", [
+    (4, (3, 4), (1, 2)),
+    (6, (1, 2), (5, 6)),
+])
+def test_csign_matches_dense_register_oracle(num_modes, q1_modes, q2_modes):
+    config = FockConfig(num_modes, 2)
+    rng = np.random.default_rng(num_modes)
+    theta = float(rng.uniform(0, np.pi))
+    phi = float(rng.uniform(0, 2 * np.pi))
+    u = csign(config, q1_modes, q2_modes, theta, phi)
+    oracle = dense_csign_oracle(config, q1_modes[0], q2_modes[0], theta, phi)
+    assert max_abs(u - oracle) < 1e-12
+
+
+def test_two_mode_gates_reject_one_mode():
+    config = FockConfig(4, 2)
+    with pytest.raises(ValueError):
+        beam_splitter(config, 2, 2, 0.3)
+    with pytest.raises(ValueError):
+        csign(config, (1, 2), (1, 3))
+    with pytest.raises(ValueError):
+        csign(config, (1, 2), (5, 6))
 
 
 def test_ns_gate_signs_and_cutoff_guard():

@@ -1,6 +1,7 @@
 """Dense linear algebra helpers, checked against independent oracles."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qubitbench.linalg import (
     dagger,
     density,
     eigh,
+    embed,
     evolve,
     identity,
     is_hermitian,
@@ -81,6 +83,49 @@ def test_kron_is_associative():
     a, b, c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                for d in (2, 3, 2))
     assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
+
+
+def permuted_kron_oracle(op, sites, n_sites, d):
+    """op (x) 1 has its factors in the order sites + rest; an explicit
+    permutation matrix of basis kets brings them back to register order."""
+    rest = [s for s in range(n_sites) if s not in sites]
+    order = list(sites) + rest
+    shape = (d,) * n_sites
+    perm = np.zeros((d ** n_sites,) * 2)
+    for digits in itertools.product(range(d), repeat=n_sites):
+        ordered = [digits[s] for s in order]
+        perm[np.ravel_multi_index(digits, shape), np.ravel_multi_index(ordered, shape)] = 1.0
+    return perm @ np.kron(op, np.eye(d ** len(rest))) @ perm.T
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sites", [(0,), (0, 2), (2, 0), (1, 3)])
+def test_embed_on_sites_matches_permuted_kron(sites, d):
+    rng = np.random.default_rng(len(sites) + 10 * sites[0] + d)
+    dim = d ** len(sites)
+    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert max_abs(embed(op, sites, 4) - permuted_kron_oracle(op, sites, 4, d)) < 1e-14
+
+
+def test_embed_single_site_is_the_kron_chain():
+    rng = np.random.default_rng(9)
+    op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for site in range(4):
+        factors = [identity(3)] * 4
+        factors[site] = op
+        chain = kron_all(*factors)
+        assert np.array_equal(embed(op, site, 4), chain)
+        assert np.array_equal(embed(op, np.int64(site), 4), chain)
+        assert np.array_equal(embed(op, (site,), 4), chain)
+
+
+def test_embed_rejects_bad_sites():
+    two_site = identity(4)
+    for sites in [(1, 1), (0, 4), (-1, 2)]:
+        with pytest.raises(ValueError):
+            embed(two_site, sites, 4)
+    with pytest.raises(ValueError):
+        embed(identity(3), (0, 1), 4)  # 3 is not the square of a factor dimension
 
 
 def test_commutator_shape_mismatch_raises():

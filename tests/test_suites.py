@@ -1,15 +1,19 @@
-"""The check list of run_suite, the families that emit it, and the package
-names the benchmark tracer wraps."""
+"""The check list of run_suite, the families that emit it and what trips
+them, and the package names the benchmark tracer wraps."""
 
 import functools
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from qubitbench import dualrail as dr
 from qubitbench import suites
+from qubitbench.linalg import dagger, embed, evolve
 from qubitbench.suites import SuiteConfig, describe, run_suite
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -95,3 +99,36 @@ def test_tracer_sees_every_runner():
         assert rows[f"suites.run_{suite}"]["calls"] == 1, suite
     assert rows["suites.run_suite"]["calls"] == 1
     assert rows["dualrail.csign"]["calls"] == 1
+
+
+def test_bosonic_gates_exponentiate_on_their_two_modes():
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    with t.report(1):
+        suites.run_suite(SuiteConfig(suite="bosonic", cutoff=4))
+    rows = t.summary(1)
+    # no evolve on the 625-dim register: the gates are exponentiated on the
+    # (cutoff + 1)^2 space of their two modes, as is the one-qubit frame
+    assert max(rows["linalg.evolve"]["sizes"]) <= (4 + 1) ** 2
+    assert rows["dualrail.csign"]["calls"] == 1
+
+
+def csign_checks(config4, gate):
+    s = SimpleNamespace(tol=SuiteConfig().tolerance, config4=config4, csign=gate)
+    return dict(suites._bosonic_csign(s))
+
+
+def test_csign_family_trips_on_corrupted_gates():
+    config4 = dr.FockConfig(4, 2)
+    tol = SuiteConfig().tolerance
+    assert max(csign_checks(config4, dr.csign(config4)).values()) <= tol
+    pair = dr.FockConfig(2, 2)
+    pair_loss = dr.annihilation(pair, 1) @ dr.annihilation(pair, 2)  # a (x) a
+    nonconserving = evolve(pair_loss + dagger(pair_loss), 0.3)
+    breakers = {
+        "csign_logical_matrix": dr.csign(config4, theta=np.pi / 4 + 0.1),
+        "csign_unitary": 1.01 * dr.csign(config4),
+        "csign_conserves_photon_number": embed(nonconserving, (0, 2), 4),
+    }
+    for name, gate in breakers.items():
+        assert csign_checks(config4, gate)[name] > tol, name
