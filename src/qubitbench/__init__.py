@@ -10,35 +10,35 @@ operator-algebra machinery that certifies them lives in `frames`.
 """
 
 from .frames import (
+    AlgebraStructure,
     CheckResult,
     EncodedQubitFrame,
-    IsotypicSplitError,
     IsotypicSummary,
     OperatorAlgebra,
     VerificationReport,
+    algebra_structure,
     commutant_basis,
     expectation,
     frame_commutes_with,
     isotypic_decomposition,
-    isotypic_decomposition_retrying,
     verify_frame,
 )
 from .linalg import KrausChannel, child_seed
 
 __all__ = [
+    "AlgebraStructure",
     "CheckResult",
     "EncodedQubitFrame",
-    "IsotypicSplitError",
     "IsotypicSummary",
     "KrausChannel",
     "OperatorAlgebra",
     "VerificationReport",
+    "algebra_structure",
     "child_seed",
     "commutant_basis",
     "expectation",
     "frame_commutes_with",
     "isotypic_decomposition",
-    "isotypic_decomposition_retrying",
     "verify_frame",
 ]
 

@@ -5,10 +5,25 @@ with Hermitian observables X, Y, Z that reproduce the Pauli relations on the
 range of P.  ``verify_frame`` turns that definition into a numerical report.
 The commutant and isotypic machinery locates such qubits inside the structure
 that a noise algebra imposes on the state space.
+
+The isotypic split needs no random numbers.  The center of the algebra is
+the center of its commutant, a commutative algebra spanned by the projectors
+onto the isotypic components, so their ranges are exactly the joint
+eigenspaces of the center.  ``isotypic_decomposition`` diagonalizes the
+Hermitian parts of an orthonormal center basis one after another, each on the
+eigenspaces left by the ones before, and starts a new space at every gap
+larger than ``CLUSTER_GAP``.  Two components always differ somewhere: with
+an orthonormal center basis B_k of c elements on n dimensions, some Hermitian
+part separates any two of them by at least 1/sqrt(n c), which is far above
+the gap for the algebras here.  The same commutant basis therefore always
+gives the same blocks, and no draw can fail to separate them.
+``algebra_structure`` builds the commutant and the blocks of an algebra once,
+for every check that reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +32,6 @@ from .linalg import (
     commutator,
     anticommutator,
     dagger,
-    eigh,
     identity,
     max_abs,
 )
@@ -28,11 +42,12 @@ __all__ = [
     "EncodedQubitFrame",
     "OperatorAlgebra",
     "IsotypicSummary",
-    "IsotypicSplitError",
+    "AlgebraStructure",
     "verify_frame",
     "commutant_basis",
     "center_from_commutant",
     "isotypic_decomposition",
+    "algebra_structure",
     "frame_commutes_with",
     "expectation",
     "generated_algebra_dimension",
@@ -207,11 +222,14 @@ def commutant_basis(alg):
     vec in row-major order, vec(MG - GM) = (1 (x) G^T - G (x) 1) vec(M).
     """
     n = alg.ambient_dim
-    eye = identity(n)
-    constraints = []
-    for g in alg.with_adjoints():
-        constraints.append(np.kron(eye, g.T) - np.kron(g, eye))
-    return [row.reshape(n, n) for row in _nullspace(np.vstack(constraints))]
+    gens = np.array(alg.with_adjoints())
+    # entry (g, a, b; c, d) of the stack is delta_ac G_db - G_ac delta_bd,
+    # written in place: a broadcast product would hold two more stacks
+    stack = np.zeros((len(gens), n, n, n, n), dtype=complex)
+    diag = np.arange(n)
+    stack[:, diag, :, diag, :] = gens.transpose(0, 2, 1)
+    stack[:, :, diag, :, diag] -= gens
+    return [row.reshape(n, n) for row in _nullspace(stack.reshape(-1, n * n))]
 
 
 def center_from_commutant(comm):
@@ -247,87 +265,67 @@ class IsotypicSummary:
         return total == self.ambient_dim and comm == self.commutant_dim
 
 
-class IsotypicSplitError(RuntimeError):
-    """Raised when a random central element fails to separate the blocks.
-
-    The caller should retry with a different seed; the failure is a property
-    of the drawn coefficients, not of the algebra.
-    """
+# Eigenvalues of a central element closer than this lie in one component.
+CLUSTER_GAP = 1e-6
 
 
-def _span_rank(vectors, rcond=1e-8):
-    if not vectors:
-        return 0
-    stacked = np.vstack([np.ravel(v) for v in vectors])
+def _span_rank(matrices, rcond=1e-8):
+    stacked = np.reshape(matrices, (len(matrices), -1))
     svals = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(svals > rcond * max(1.0, svals[0])))
 
 
-def isotypic_decomposition(alg, seed=0, cluster_gap=1e-6):
-    """Block structure (m_i, d_i) of the algebra generated by alg.
+def _eigenspaces(v, h):
+    """The range of the isometry v split by the eigenvalues of h on it."""
+    w, u = np.linalg.eigh(dagger(v) @ h @ v)
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1
+    return [v @ part for part in np.split(u, cuts, axis=1)]
 
-    A random Hermitian element of the center separates the isotypic
-    components; within each component the commutant restricts to a full
-    matrix algebra of dimension m_i^2 and the block dimension factors as
+
+def isotypic_decomposition(comm):
+    """Block structure (m_i, d_i) of the algebra whose commutant has basis comm.
+
+    The joint eigenspaces of the center are the isotypic components (see the
+    module docstring); within each the commutant restricts to a full matrix
+    algebra of dimension m_i^2, and the component dimension factors as
     m_i * d_i.
     """
-    n = alg.ambient_dim
-    comm = commutant_basis(alg)
-    center = center_from_commutant(comm)
-
-    rng = np.random.default_rng(seed)
-    h = np.zeros((n, n), dtype=complex)
-    for b in center:
-        h += rng.standard_normal() * (b + dagger(b)) / 2.0
-        h += rng.standard_normal() * (b - dagger(b)) / 2.0j
-    # guard against an accidentally tiny draw
-    if max_abs(h) < 1e-12:
-        h = h + identity(n)
-
-    w, v = eigh(h, tol=1e-8)
-    clusters = []
-    start = 0
-    for j in range(1, n + 1):
-        if j == n or w[j] - w[j - 1] > cluster_gap:
-            clusters.append((start, j))
-            start = j
+    comm = np.array(comm)
+    n = comm.shape[1]
+    spaces = [identity(n)]
+    for b in center_from_commutant(comm):
+        for h in ((b + dagger(b)) / 2.0, (b - dagger(b)) / 2.0j):
+            spaces = [part for v in spaces for part in _eigenspaces(v, h)]
 
     blocks = []
-    for lo, hi in clusters:
-        vb = v[:, lo:hi]
-        bdim = hi - lo
-        restricted = [dagger(vb) @ m @ vb for m in comm]
-        m_sq = _span_rank(restricted)
-        m = int(round(np.sqrt(m_sq)))
-        if m * m != m_sq or m == 0 or bdim % m != 0:
-            raise IsotypicSplitError(
-                f"block of dim {bdim} gave commutant rank {m_sq}; "
-                "degenerate central eigenvalues, retry with a new seed"
-            )
-        blocks.append((m, bdim // m))
+    for v in spaces:
+        m_sq = _span_rank(dagger(v) @ comm @ v)
+        m = math.isqrt(m_sq)
+        if m * m != m_sq or m == 0 or v.shape[1] % m != 0:
+            raise np.linalg.LinAlgError(
+                f"component of dim {v.shape[1]} gave commutant rank {m_sq}")
+        blocks.append((m, v.shape[1] // m))
 
-    summary = IsotypicSummary(
-        blocks=tuple(sorted(blocks)),
-        ambient_dim=n,
-        commutant_dim=len(comm),
-    )
+    summary = IsotypicSummary(blocks=tuple(sorted(blocks)), ambient_dim=n,
+                              commutant_dim=len(comm))
     if not summary.identities_hold():
-        raise IsotypicSplitError(
-            "dimension identities failed after clustering; "
-            "degenerate central eigenvalues, retry with a new seed"
-        )
+        raise np.linalg.LinAlgError(f"blocks {summary.blocks} miss the dimension identities")
     return summary
 
 
-def isotypic_decomposition_retrying(alg, seed=0, attempts=8):
-    """isotypic_decomposition with deterministic retries on a failed split."""
-    last = None
-    for k in range(attempts):
-        try:
-            return isotypic_decomposition(alg, seed=seed + k)
-        except IsotypicSplitError as err:  # rare; new coefficients usually separate
-            last = err
-    raise last
+@dataclass(frozen=True)
+class AlgebraStructure:
+    """An algebra with its commutant basis and isotypic blocks."""
+
+    algebra: OperatorAlgebra
+    commutant: tuple
+    isotypic: IsotypicSummary
+
+
+def algebra_structure(alg):
+    """The commutant and the isotypic blocks of alg, each computed once."""
+    comm = tuple(commutant_basis(alg))
+    return AlgebraStructure(alg, comm, isotypic_decomposition(comm))
 
 
 def frame_commutes_with(frame, alg, tol=1e-9):
@@ -360,32 +358,36 @@ def expectation(op, state, tol=1e-9):
     return float(np.real(value))
 
 
+def _new_directions(candidates, basis, rcond=1e-8):
+    """Orthonormal rows spanning what candidates add to the span of the
+    orthonormal rows of basis."""
+    scale = max(1.0, np.max(np.linalg.norm(candidates, axis=1)))
+    for _ in range(2):  # a second pass removes the round-off the first leaves
+        candidates = candidates - (candidates @ basis.conj().T) @ basis
+    _, svals, vh = np.linalg.svd(candidates, full_matrices=False)
+    return vh[svals > rcond * scale]
+
+
 def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
     """Linear dimension of the span of generator words up to word_length.
 
     Words start from the identity and multiply generators and adjoints on the
-    right.  restrict_to, if given, is an isometry whose columns frame the
-    subspace on which the span is measured.
+    right.  The span is kept as an orthonormal basis, and each step
+    multiplies only the directions the previous one added, so a step costs
+    at most n^2 products per generator.  restrict_to, if given, is an
+    isometry whose columns frame the subspace on which the span is measured.
     """
-    gens = alg.with_adjoints()
+    gens = np.array(alg.with_adjoints())
     n = alg.ambient_dim
-    words = [identity(n)]
-    frontier = [identity(n)]
-    rank = _span_rank(words)
+    basis = identity(n).reshape(1, -1) / np.sqrt(n)
+    new = basis
     for _ in range(word_length):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                nxt.append(w @ g)
-        words.extend(nxt)
-        frontier = nxt
-        new_rank = _span_rank(words)
-        if new_rank == rank:
+        new = _new_directions((new.reshape(-1, 1, n, n) @ gens).reshape(-1, n * n), basis)
+        if not len(new):
             # One more letter added no direction: the span is closed under
             # the product, so longer words cannot either.
             break
-        rank = new_rank
-    if restrict_to is not None:
-        words = [dagger(restrict_to) @ w @ restrict_to for w in words]
-    return _span_rank(words)
-
+        basis = np.vstack([basis, new])
+    if restrict_to is None:
+        return len(basis)
+    return _span_rank(dagger(restrict_to) @ basis.reshape(-1, n, n) @ restrict_to)

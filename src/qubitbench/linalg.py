@@ -14,6 +14,7 @@ through explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -259,12 +260,20 @@ class KrausChannel:
     def dim(self):
         return self.ops[0].shape[0]
 
+    @functools.cached_property
+    def _liouville(self):
+        """sum_a K_a (x) conj(K_a), which maps the row-major vec of rho to
+        the vec of its image; built on the first apply."""
+        k = np.stack(self.ops)
+        return np.einsum("kab,kdc->adbc", k, k.conj()).reshape(self.dim ** 2, self.dim ** 2)
+
     def apply(self, rho):
+        """The image of one density operator, or of each in an (n, d, d) stack."""
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.ops:
-            out += k @ rho @ dagger(k)
-        return out
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"rho of shape {rho.shape} is not {self.dim} x {self.dim} or a stack")
+        flat = rho.reshape(*rho.shape[:-2], self.dim ** 2)
+        return (flat @ self._liouville.T).reshape(rho.shape)
 
     def trace_preservation_defect(self):
         """max |sum_a K_a^dag K_a - 1|, zero for a trace-preserving map."""

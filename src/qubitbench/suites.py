@@ -4,8 +4,10 @@ Each suite runner returns (name, deviation) pairs, produced in order by the
 check families of its suite in ``_FAMILIES``.  A family is a small generator
 over one namespace shared by the suite's run: the configuration, the suite's
 random stream and the heavy inputs the runner builds once.  Its docstring is
-its ``--describe`` text.  ``run_suite`` adds the suite prefix and judges every
-deviation against the tolerance.  All randomness is derived from the master
+its ``--describe`` text.  The structure of each paper algebra (commutant and
+isotypic blocks) is built at most once per report, on first use, and shared
+by every suite of the report.  ``run_suite`` adds the suite prefix and judges
+every deviation against the tolerance.  All randomness is derived from the master
 seed and the suite name, so results do not depend on execution order and
 identical configurations reproduce identical numbers.
 """
@@ -25,11 +27,12 @@ from .frames import (
     CheckResult,
     EncodedQubitFrame,
     OperatorAlgebra,
+    algebra_structure,
     commutant_basis,
     expectation,
     frame_commutes_with,
     generated_algebra_dimension,
-    isotypic_decomposition_retrying,
+    isotypic_decomposition,
     verify_frame,
 )
 from .linalg import (
@@ -42,7 +45,6 @@ from .linalg import (
     identity,
     kron,
     max_abs,
-    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
@@ -74,11 +76,29 @@ class SuiteConfig:
             raise ValueError("bosonic suite needs cutoff >= 2 for the two-photon gates")
 
 
-def _run(config, suite, **inputs):
+# The paper's algebras by label: the generators of each, built on demand.
+_PAPER_ALGEBRAS = {
+    "collective_noise": lambda: col.collective_ops(col.N_SPINS),
+    "error_recovery_words": lambda: tuple(rep.error_recovery_words().values()),
+    "pauli": lambda: (sigma_x, sigma_y, sigma_z),
+}
+
+
+class _Structures(dict):
+    """One report's AlgebraStructure of each paper algebra, built on first use."""
+
+    def __missing__(self, label):
+        structure = algebra_structure(OperatorAlgebra(_PAPER_ALGEBRAS[label](), label=label))
+        self[label] = structure
+        return structure
+
+
+def _run(config, suite, structures, **inputs):
     """The suite's (name, deviation) pairs, family by family."""
     s = SimpleNamespace(
         tol=config.tolerance, seed=config.seed, trials=config.trials,
-        rng=np.random.default_rng(child_seed(config.seed, suite)), **inputs,
+        rng=np.random.default_rng(child_seed(config.seed, suite)),
+        structures=structures, **inputs,
     )
     return [pair for family in _FAMILIES[suite] for pair in family(s)]
 
@@ -239,10 +259,10 @@ def _bosonic_photodetection(s):
     yield "photodetection_deterministic_per_seed", 0.0 if same else 1.0
 
 
-def run_bosonic(config):
+def run_bosonic(config, structures):
     config2 = dr.FockConfig(2, config.cutoff)
     config4 = dr.FockConfig(4, config.cutoff)
-    return _run(config, "bosonic", config2=config2, config4=config4,
+    return _run(config, "bosonic", structures, config2=config2, config4=config4,
                 frame=dr.dual_rail_frame(config2, 1, 2), csign=dr.csign(config4))
 
 
@@ -310,13 +330,19 @@ def _repetition_error_basis_iso(s):
         for a in range(4) for i in (0, 1)
     )
 
+    errors = np.stack([rep.error_operator(a) for a in range(4)])
     dev = 0.0
-    for _ in range(max(1, s.trials // 10)):
-        c = _random_amplitudes(s.rng)
-        for a in range(4):
-            corrupted = rep.error_operator(a) @ rep.encode(c[0], c[1])
-            rho_q = partial_trace(density(iso_q.apply(corrupted)), (2, 4), {0})
-            dev = max(dev, abs(1.0 - np.vdot(c, rho_q @ c).real))
+    for n in trial_chunks(max(1, s.trials // 10)):
+        # drawn sample by sample, as the later families of this suite
+        # expect of the shared stream
+        c = np.array([_random_amplitudes(s.rng) for _ in range(n)])
+        corrupted = np.einsum("aij,nj->nai", errors, rep.encode(c[:, 0], c[:, 1]))
+        # qubit (x) syndrome amplitudes of each corrupted state; the qubit
+        # factor's reduced operator is phi phi^dag over the syndrome index
+        phi = (corrupted @ iso_q.unitary.T).reshape(n, 4, 2, 4)
+        rho_q = phi @ phi.conj().swapaxes(-1, -2)
+        fidelity = np.einsum("ni,naik,nk->na", c.conj(), rho_q, c).real
+        dev = max(dev, max_abs(1.0 - fidelity))
     yield "errors_leave_qubit_factor_untouched", dev
 
     yield "recovery_resets_syndrome_factor", max(
@@ -365,9 +391,7 @@ def _repetition_recovery_idempotent(s):
 def _repetition_word_algebra(s):
     """The sixteen words E_b R_a generate 1_2 (x) M_4: an isotypic block of
     multiplicity 2 and dimension 4."""
-    words = OperatorAlgebra(tuple(rep.error_recovery_words().values()),
-                            label="error_recovery_words")
-    summary = isotypic_decomposition_retrying(words, seed=child_seed(s.seed, "rep-isotypic"))
+    summary = s.structures["error_recovery_words"].isotypic
     yield "noise_recovery_algebra_isotypic_block", 0.0 if (2, 4) in summary.as_multiset() else 1.0
 
 
@@ -385,8 +409,8 @@ def _repetition_invariance(s):
     yield from _pairs(rep.invariance_suite(s.trials, child_seed(s.seed, "rep-invariance"), s.tol))
 
 
-def run_repetition(config):
-    return _run(config, "repetition", frame=rep.frame_from_errors(),
+def run_repetition(config, structures):
+    return _run(config, "repetition", structures, frame=rep.frame_from_errors(),
                 channel=rep.recovery_channel(), iso_q=rep.subsystem_iso_Q(),
                 iso_qp=rep.subsystem_iso_Qprime())
 
@@ -465,9 +489,10 @@ def _collective_scalar_frame(s):
 def _collective_noise_algebra(s):
     """The commutant of {S_alpha} has dimension 5 = 1^2 + 2^2; its isotypic
     blocks (multiplicity, dimension) are (1, 4) and (2, 2)."""
-    yield "noise_commutant_dimension", abs(len(commutant_basis(s.noise)) - 5)
-    summary = isotypic_decomposition_retrying(s.noise, seed=child_seed(s.seed, "col-isotypic"))
-    yield "noise_isotypic_blocks", 0.0 if summary.as_multiset() == ((1, 4), (2, 2)) else 1.0
+    noise = s.structures["collective_noise"]
+    yield "noise_commutant_dimension", abs(len(noise.commutant) - 5)
+    blocks = noise.isotypic.as_multiset()
+    yield "noise_isotypic_blocks", 0.0 if blocks == ((1, 4), (2, 2)) else 1.0
 
 
 def _collective_invariance(s):
@@ -532,10 +557,9 @@ def _collective_generated_algebra(s):
     yield "frame_generates_full_qubit_algebra", dev
 
 
-def run_collective(config):
+def run_collective(config, structures):
     sx, sy, sz, s2 = col.total_spin_ops()
-    return _run(config, "collective", generators=(sx, sy, sz), s2=s2,
-                noise=OperatorAlgebra((sx, sy, sz), label="collective_noise"),
+    return _run(config, "collective", structures, generators=(sx, sy, sz), s2=s2,
                 frames={flavor: col.noiseless_frame(flavor) for flavor in col.FLAVORS})
 
 
@@ -558,7 +582,7 @@ def _algebra_commutant(s):
     """The commutant, the joint nullspace of M -> MG - GM over generators
     and adjoints, is the scalars for the Pauli matrices and all of M_2 for
     the identity."""
-    basis = commutant_basis(s.pauli)
+    basis = s.structures["pauli"].commutant
     dev = abs(len(basis) - 1)
     if len(basis) == 1:
         b = basis[0]
@@ -570,31 +594,33 @@ def _algebra_commutant(s):
 
 
 def _algebra_pauli_isotypic(s):
-    """A random central element leaves the Pauli algebra one block,
+    """The center of the Pauli algebra is the scalars, so it is one block,
     (multiplicity, dimension) = (1, 2)."""
-    summary = isotypic_decomposition_retrying(s.pauli, seed=child_seed(s.seed, "alg-pauli"))
+    summary = s.structures["pauli"].isotypic
     yield "pauli_isotypic_single_block", 0.0 if summary.as_multiset() == ((1, 2),) else 1.0
 
 
 def _algebra_commutant_members(s):
     """Every commutant member of the collective-noise algebra commutes with
     each generator and adjoint."""
+    noise = s.structures["collective_noise"]
     yield "commutant_members_commute", max(
-        max(max_abs(commutator(m, g)) for g in s.spin.with_adjoints())
-        for m in s.commutants[s.spin.label]
+        max(max_abs(commutator(m, g)) for g in noise.algebra.with_adjoints())
+        for m in noise.commutant
     )
 
 
 def _algebra_bicommutant(s):
     """The double commutant equals the span of generator words up to length
     4: dimension 20 for collective noise, 16 for the error-recovery words."""
-    for alg, expected in ((s.spin, 20), (s.words, 16)):
+    for label, expected in (("collective_noise", 20), ("error_recovery_words", 16)):
+        structure = s.structures[label]
         bicomm = commutant_basis(
-            OperatorAlgebra(tuple(_hermitian_split(s.commutants[alg.label])),
-                            label=f"{alg.label}-commutant")
+            OperatorAlgebra(tuple(_hermitian_split(structure.commutant)),
+                            label=f"{label}-commutant")
         )
-        span = generated_algebra_dimension(alg, word_length=4)
-        yield (f"bicommutant_matches_generated_{alg.label}",
+        span = generated_algebra_dimension(structure.algebra, word_length=4)
+        yield (f"bicommutant_matches_generated_{label}",
                max(abs(len(bicomm) - expected), abs(span - expected)))
 
 
@@ -606,12 +632,13 @@ def _hermitian_split(matrices):
     return out
 
 
-def _algebra_isotypic_seeds(s):
-    """The isotypic blocks of collective noise do not depend on the seed of
-    the random central element."""
-    a = isotypic_decomposition_retrying(s.spin, seed=child_seed(s.seed, "alg-seeds-a"))
-    b = isotypic_decomposition_retrying(s.spin, seed=child_seed(s.seed, "alg-seeds-b"))
-    yield "isotypic_summary_seed_independent", 0.0 if a.as_multiset() == b.as_multiset() else 1.0
+def _algebra_isotypic_determinism(s):
+    """The isotypic blocks of collective noise do not depend on the order of
+    the commutant basis they are split from: the reversed basis gives the
+    same blocks."""
+    noise = s.structures["collective_noise"]
+    same = isotypic_decomposition(noise.commutant[::-1]) == noise.isotypic
+    yield "isotypic_summary_seed_independent", 0.0 if same else 1.0
 
 
 def _algebra_expectation(s):
@@ -625,17 +652,13 @@ def _algebra_expectation(s):
 def _algebra_protected_frame(s):
     """The error-built repetition frame commutes with every error-recovery
     word E_b R_a."""
-    ok = frame_commutes_with(rep.frame_from_errors(), s.words, s.tol).all_pass
+    words = s.structures["error_recovery_words"].algebra
+    ok = frame_commutes_with(rep.frame_from_errors(), words, s.tol).all_pass
     yield "protected_frame_in_noise_commutant", 0.0 if ok else 1.0
 
 
-def run_algebra(config):
-    spin = OperatorAlgebra(col.collective_ops(col.N_SPINS), label="collective_noise")
-    words = OperatorAlgebra(tuple(rep.error_recovery_words().values()),
-                            label="error_recovery_words")
-    return _run(config, "algebra", spin=spin, words=words,
-                pauli=OperatorAlgebra((sigma_x, sigma_y, sigma_z), label="pauli"),
-                commutants={alg.label: commutant_basis(alg) for alg in (spin, words)})
+def run_algebra(config, structures):
+    return _run(config, "algebra", structures)
 
 
 # ------------------------------------------------------------------ driver
@@ -684,7 +707,7 @@ _FAMILIES = {
         _algebra_pauli_isotypic,
         _algebra_commutant_members,
         _algebra_bicommutant,
-        _algebra_isotypic_seeds,
+        _algebra_isotypic_determinism,
         _algebra_expectation,
         _algebra_protected_frame,
     ),
@@ -698,11 +721,12 @@ def run_suite(config):
     JSON view preserves execution order; the text renderer sorts by name.
     """
     names = SUITE_NAMES[:-1] if config.suite == "all" else (config.suite,)
+    structures = _Structures()  # this report's only; the next builds its own
     checks = []
     for suite in names:
         # looked up by module-global name at call time, so a wrapper
         # installed on the module attribute sees the call
-        for name, deviation in globals()[f"run_{suite}"](config):
+        for name, deviation in globals()[f"run_{suite}"](config, structures):
             checks.append(CheckResult.of(f"{suite}/{name}", deviation, config.tolerance))
     return {
         "suite": config.suite,

@@ -38,3 +38,38 @@ def occupations_of_index(config, index):
         n, rem = divmod(rem, power)
         occs.append(n)
     return tuple(occs)
+
+
+def kraus_apply_oracle(channel, rho):
+    """sum_a K_a rho K_a^dag, one Kraus operator at a time; rho is one
+    density operator or a stack of them."""
+    out = np.zeros_like(rho, dtype=complex)
+    for k in channel.ops:
+        out += k @ rho @ dagger(k)
+    return out
+
+
+def _span_rank(matrices, rcond=1e-8):
+    stacked = np.vstack([np.ravel(m) for m in matrices])
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(svals > rcond * max(1.0, svals[0])))
+
+
+def generated_algebra_dimension_oracle(alg, word_length=4, restrict_to=None):
+    """Rank of every generator word up to word_length, |gens|^k words at
+    length k, stopping at the first length that adds no direction."""
+    gens = alg.with_adjoints()
+    n = alg.ambient_dim
+    words = [identity(n)]
+    frontier = [identity(n)]
+    rank = 1
+    for _ in range(word_length):
+        frontier = [w @ g for w in frontier for g in gens]
+        words.extend(frontier)
+        new_rank = _span_rank(words)
+        if new_rank == rank:
+            break
+        rank = new_rank
+    if restrict_to is not None:
+        words = [dagger(restrict_to) @ w @ restrict_to for w in words]
+    return _span_rank(words)

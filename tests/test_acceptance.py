@@ -40,9 +40,9 @@ from qubitbench.dualrail import (
 )
 from qubitbench.frames import (
     OperatorAlgebra,
+    algebra_structure,
     commutant_basis,
     expectation,
-    isotypic_decomposition_retrying,
     verify_frame,
 )
 from qubitbench.linalg import evolve, identity, kron, max_abs
@@ -219,7 +219,7 @@ def test_collective_noise_protection():
     generators = total_spin_ops()[:3]
     alg = OperatorAlgebra(generators, "collective")
     commutant_dim = len(commutant_basis(alg))
-    summary = isotypic_decomposition_retrying(alg, seed=7)
+    summary = algebra_structure(alg).isotypic
     iso_ok = summary.as_multiset() == ((1, 4), (2, 2))
 
     rng = np.random.default_rng(4321)
@@ -261,7 +261,7 @@ def test_collective_noise_protection():
 
 def test_cross_construction_isotypic_block():
     alg = OperatorAlgebra(tuple(error_recovery_words().values()), "words")
-    summary = isotypic_decomposition_retrying(alg, seed=3)
+    summary = algebra_structure(alg).isotypic
     ok = (2, 4) in summary.as_multiset()
     report("cross_construction_isotypic_block", ok,
            f"blocks {summary.as_multiset()} contain (2, 4): {ok}")

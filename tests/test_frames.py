@@ -4,20 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qubitbench.collective import collective_ops
+from qubitbench.collective import collective_ops, noiseless_frame, protected_basis
 from qubitbench.frames import (
     CheckResult,
     EncodedQubitFrame,
-    IsotypicSplitError,
     OperatorAlgebra,
+    algebra_structure,
     center_from_commutant,
     commutant_basis,
     expectation,
     frame_commutes_with,
     generated_algebra_dimension,
     isotypic_decomposition,
-    isotypic_decomposition_retrying,
     verify_frame,
 )
 from qubitbench.linalg import (
@@ -34,7 +35,7 @@ from qubitbench.linalg import (
 )
 from qubitbench.repetition import error_recovery_words
 
-from linalg_oracles import random_hermitian
+from linalg_oracles import generated_algebra_dimension_oracle, random_hermitian
 
 EXPECTED_CHECKS = (
     "hermitian_observables",
@@ -180,7 +181,7 @@ def test_with_adjoints_adds_only_new_operators():
 
 
 def test_isotypic_full_matrix_algebra():
-    summary = isotypic_decomposition(OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli"))
+    summary = algebra_structure(OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli")).isotypic
     assert summary.as_multiset() == ((1, 2),)
     assert summary.identities_hold()
 
@@ -188,14 +189,14 @@ def test_isotypic_full_matrix_algebra():
 def test_isotypic_tensor_factor():
     gens = (kron(sigma_x, identity(2)), kron(sigma_y, identity(2)),
             kron(sigma_z, identity(2)))
-    summary = isotypic_decomposition(OperatorAlgebra(gens, "factor"))
+    summary = algebra_structure(OperatorAlgebra(gens, "factor")).isotypic
     assert summary.as_multiset() == ((2, 2),)
     assert summary.ambient_dim == 4
     assert summary.commutant_dim == 4
 
 
 def test_isotypic_abelian_generator():
-    summary = isotypic_decomposition(OperatorAlgebra((sigma_z,), "diag"))
+    summary = algebra_structure(OperatorAlgebra((sigma_z,), "diag")).isotypic
     assert summary.as_multiset() == ((1, 1), (1, 1))
 
 
@@ -205,19 +206,30 @@ def test_isotypic_direct_sum_blocks():
     g1[:2, :2] = sigma_x
     g2 = np.zeros((3, 3), dtype=complex)
     g2[:2, :2] = sigma_z
-    summary = isotypic_decomposition_retrying(OperatorAlgebra((g1, g2), "sum"))
+    summary = algebra_structure(OperatorAlgebra((g1, g2), "sum")).isotypic
     assert summary.as_multiset() == ((1, 1), (1, 2))
 
 
-def test_isotypic_retry_is_seed_stable():
+def test_isotypic_decomposition_is_deterministic():
+    # no seed: two splits of one commutant basis, and of the same basis in
+    # another order, give the same blocks
     alg = OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli")
-    a = isotypic_decomposition_retrying(alg, seed=0)
-    b = isotypic_decomposition_retrying(alg, seed=99)
-    assert a.as_multiset() == b.as_multiset()
+    a = algebra_structure(alg)
+    b = algebra_structure(alg)
+    assert a.isotypic == b.isotypic
+    assert isotypic_decomposition(a.commutant[::-1]) == a.isotypic
+    assert a.isotypic.as_multiset() == ((1, 2),)
 
 
-def test_isotypic_split_error_is_runtime_error():
-    assert issubclass(IsotypicSplitError, RuntimeError)
+@pytest.mark.parametrize("phase", [1.0, 1j], ids=["hermitian", "anti_hermitian"])
+def test_isotypic_split_refines_by_every_center_element(phase):
+    # The commutant of a diagonal algebra given as matrix units: each center
+    # element separates one component from the rest, and with phase i only
+    # the anti-Hermitian parts separate anything.
+    units = [phase * np.diag(row).astype(complex) for row in np.eye(4)]
+    summary = isotypic_decomposition(units)
+    assert summary.as_multiset() == ((1, 1),) * 4
+    assert summary.commutant_dim == 4
 
 
 def test_frame_commutes_with_commuting_algebra():
@@ -317,12 +329,12 @@ def test_center_from_commutant_matches_two_stack_oracle(case):
     assert max_abs(span_projector(center) - span_projector(oracle)) < 1e-9
     gram = np.array([[np.vdot(a, b) for b in center] for a in center])
     assert max_abs(gram - identity(len(center))) < 1e-9
-    summary = isotypic_decomposition_retrying(alg)
+    summary = isotypic_decomposition(comm)
     assert len(center) == len(summary.blocks)
 
 
 def test_conjugated_direct_sum_blocks():
-    summary = isotypic_decomposition_retrying(conjugated_direct_sum_algebra(11))
+    summary = algebra_structure(conjugated_direct_sum_algebra(11)).isotypic
     assert summary.as_multiset() == ((1, 3), (2, 2))
     assert summary.commutant_dim == 5
 
@@ -332,7 +344,7 @@ def test_conjugated_direct_sum_blocks():
 MEMORY_GUARD_BYTES = 16 * 2**20
 
 
-@pytest.mark.parametrize("step", [commutant_basis, isotypic_decomposition_retrying],
+@pytest.mark.parametrize("step", [commutant_basis, algebra_structure],
                          ids=lambda f: f.__name__)
 def test_word_algebra_peak_memory_guard(step):
     alg = CENTER_CASES["error_recovery_words"]()
@@ -343,3 +355,86 @@ def test_word_algebra_peak_memory_guard(step):
     finally:
         tracemalloc.stop()
     assert peak < MEMORY_GUARD_BYTES, f"{step.__name__} peaked at {peak / 2**20:.1f} MB"
+
+
+def block_sum_algebra(blocks, seed):
+    """A random unitary conjugate of the direct sum of 1_m (x) M_d over blocks.
+
+    Each block gets two random Hermitian generators and one non-Hermitian
+    one, shifted by the block index so that equal shapes stay inequivalent.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(m * d for m, d in blocks)
+    gens = [np.zeros((n, n), dtype=complex) for _ in range(3)]
+    start = 0
+    for i, (m, d) in enumerate(blocks):
+        parts = (random_hermitian(d, rng) + 3.0 * i * identity(d), random_hermitian(d, rng),
+                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        for g, part in zip(gens, parts):
+            g[start:start + m * d, start:start + m * d] = kron(identity(m), part)
+        start += m * d
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens), "block_sum")
+
+
+@st.composite
+def block_shapes(draw, max_dim=12):
+    """Blocks (m, d) with m <= 3, d <= 4 and sum m d <= max_dim."""
+    blocks = []
+    room = max_dim
+    while room and (not blocks or draw(st.booleans())):
+        m = draw(st.integers(1, min(3, room)))
+        d = draw(st.integers(1, min(4, room // m)))
+        blocks.append((m, d))
+        room -= m * d
+    return blocks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(blocks=block_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(blocks=[(2, 2), (2, 2)], seed=0)
+@example(blocks=[(3, 1), (1, 3), (1, 3)], seed=1)
+@example(blocks=[(1, 4), (2, 2), (3, 1)], seed=2)
+def test_block_sum_structure_matches_construction(blocks, seed):
+    alg = block_sum_algebra(blocks, seed)
+    structure = algebra_structure(alg)
+    assert structure.isotypic.as_multiset() == tuple(sorted(blocks))
+    assert len(structure.commutant) == sum(m * m for m, _ in blocks)
+    bicommutant = commutant_basis(OperatorAlgebra(structure.commutant, "bicommutant"))
+    assert len(bicommutant) == sum(d * d for _, d in blocks)
+    assert generated_algebra_dimension(alg, word_length=12) == sum(d * d for _, d in blocks)
+    again = algebra_structure(alg)
+    assert again.isotypic.blocks == structure.isotypic.blocks
+    assert isotypic_decomposition(structure.commutant) == structure.isotypic
+
+
+def random_isometry(n, k, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    return q
+
+
+def frame_algebra(flavor):
+    frame = noiseless_frame(flavor)
+    return OperatorAlgebra(frame.observables() + (frame.support,), f"frame_{flavor}")
+
+
+GENERATED_CASES = {
+    "collective_noise": (CENTER_CASES["collective_noise"], random_isometry(8, 5, 2)),
+    "error_recovery_words": (CENTER_CASES["error_recovery_words"], random_isometry(8, 5, 0)),
+    "pauli": (CENTER_CASES["pauli"], basis_state(2, 0)[:, None]),
+    "frame_omega": (lambda: frame_algebra("omega"), protected_basis("omega").vectors),
+    "frame_singlet_triplet": (lambda: frame_algebra("singlet_triplet"),
+                              random_isometry(8, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+@pytest.mark.parametrize("case", sorted(GENERATED_CASES))
+def test_generated_algebra_dimension_matches_word_oracle(case, restricted):
+    build, isometry = GENERATED_CASES[case]
+    alg = build()
+    sub = isometry if restricted else None
+    for word_length in (1, 2, 4):
+        want = generated_algebra_dimension_oracle(alg, word_length, restrict_to=sub)
+        assert generated_algebra_dimension(alg, word_length, restrict_to=sub) == want

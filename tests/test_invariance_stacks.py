@@ -4,7 +4,9 @@ Both invariance suites evaluate their trials as numpy stacks.  The oracles
 below run the same draws one 8-dim state at a time, with scalar products
 only.  Many deviations are exactly 0.0 for the protected frames, so the
 stacked and scalar paths are also compared on unprotected frames, where a
-stacked expression that compared a state with itself would read 0.
+stacked expression that compared a state with itself would read 0.  The
+sampled repetition check errors_leave_qubit_factor_untouched, also run as
+stacks, is compared with the per-sample partial_trace loop it replaced.
 """
 
 import tracemalloc
@@ -14,13 +16,17 @@ import pytest
 
 from qubitbench import collective as col
 from qubitbench import repetition as rep
+from qubitbench.suites import SuiteConfig, run_suite
 from qubitbench.frames import EncodedQubitFrame
 from qubitbench.linalg import (
     TRIAL_CHUNK,
     KrausChannel,
+    child_seed,
+    density,
     embed,
     evolve,
     identity,
+    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
@@ -168,6 +174,56 @@ def test_collective_stacks_are_sensitive(trials, seed, monkeypatch):
     for name, dev in expected.items():
         assert got[name] > 0.1, name
         assert abs(got[name] - dev) <= 1e-12, name
+
+
+QUBIT_FACTOR_TRIALS = (1, 7, 10 * (TRIAL_CHUNK + 3))
+
+
+def qubit_factor_oracle(trials, seed, iso):
+    """Per-sample repetition/errors_leave_qubit_factor_untouched: the
+    reduced qubit operator of each corrupted state by partial_trace.
+
+    The families before it draw nothing from the suite's stream, so its
+    samples are the stream's first draws.
+    """
+    rng = np.random.default_rng(child_seed(seed, "repetition"))
+    dev = 0.0
+    for _ in range(max(1, trials // 10)):
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        c = c / np.linalg.norm(c)
+        for a in range(4):
+            corrupted = rep.error_operator(a) @ rep.encode(c[0], c[1])
+            rho_q = partial_trace(density(iso.apply(corrupted)), (2, 4), {0})
+            dev = max(dev, abs(1.0 - np.vdot(c, rho_q @ c).real))
+    return dev
+
+
+def qubit_factor_check(trials, seed):
+    doc = run_suite(SuiteConfig(suite="repetition", seed=seed, trials=trials))
+    return next(c["max_deviation"] for c in doc["checks"]
+                if c["name"] == "repetition/errors_leave_qubit_factor_untouched")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", QUBIT_FACTOR_TRIALS)
+def test_qubit_factor_stacks_match_per_sample_oracle(trials, seed):
+    got = qubit_factor_check(trials, seed)
+    assert abs(got - qubit_factor_oracle(trials, seed, rep.subsystem_iso_Q())) <= 1e-12
+    assert got <= 1e-9
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", QUBIT_FACTOR_TRIALS)
+def test_qubit_factor_stacks_are_sensitive(trials, seed, monkeypatch):
+    # Under the stabilizer labels the first error flips the qubit label, so
+    # the check reads 1 - |<c|X|c>|^2 on the unprotected frame.
+    frame, channel, iso = qubit_one_frame(3), miscorrecting_channel(), rep.subsystem_iso_Qprime()
+    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
+    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
+    monkeypatch.setattr(rep, "subsystem_iso_Q", lambda: iso)
+    got = qubit_factor_check(trials, seed)
+    assert got > 0.1
+    assert abs(got - qubit_factor_oracle(trials, seed, iso)) <= 1e-12
 
 
 MEMORY_GUARD_BYTES = 4 * 2**20

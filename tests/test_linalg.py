@@ -29,7 +29,7 @@ from qubitbench.linalg import (
     sigma_z,
 )
 
-from linalg_oracles import is_projector, is_unitary, random_hermitian
+from linalg_oracles import is_projector, is_unitary, kraus_apply_oracle, random_hermitian
 
 
 def expm_taylor(m, terms=40):
@@ -317,3 +317,37 @@ def test_kraus_channel_application_and_trace():
 def test_kraus_channel_detects_trace_leak():
     channel = KrausChannel((0.5 * identity(2),))
     assert channel.trace_preservation_defect() == pytest.approx(0.75)
+
+
+def random_kraus_channel(dim, count, seed):
+    """K_a = G_a S^(-1/2) with S = sum_a G_a^dag G_a: trace preserving."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    w, v = np.linalg.eigh(np.einsum("kba,kbc->ac", g.conj(), g))
+    return KrausChannel(tuple(g @ (v / np.sqrt(w)) @ dagger(v)))
+
+
+def random_densities(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    rho = z @ z.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (3, 2), (8, 4)])
+@pytest.mark.parametrize("n", [None, 1, 7, 259])
+def test_kraus_channel_apply_matches_per_operator_sum(dim, count, n):
+    channel = random_kraus_channel(dim, count, seed=dim + count)
+    assert channel.trace_preservation_defect() < 1e-12
+    rho = random_densities(n or 1, dim, seed=n or 0)
+    rho = rho[0] if n is None else rho
+    got = channel.apply(rho)
+    assert got.shape == rho.shape
+    assert max_abs(got - kraus_apply_oracle(channel, rho)) <= 1e-13
+
+
+def test_kraus_channel_apply_rejects_wrong_shape():
+    channel = KrausChannel((identity(2),))
+    for bad in (np.zeros(4), np.zeros((3, 3)), np.zeros((5, 2, 3)), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(ValueError):
+            channel.apply(bad)

@@ -4,7 +4,7 @@ pictures (error basis vs stabilizer labels)."""
 import numpy as np
 import pytest
 
-from qubitbench.frames import OperatorAlgebra, expectation, isotypic_decomposition_retrying
+from qubitbench.frames import OperatorAlgebra, algebra_structure, expectation
 from qubitbench.linalg import (
     basis_state,
     dagger,
@@ -233,7 +233,7 @@ def test_protected_expectations_survive_any_word():
 
 def test_word_algebra_has_two_by_four_block():
     alg = OperatorAlgebra(tuple(error_recovery_words().values()), "words")
-    summary = isotypic_decomposition_retrying(alg, seed=5)
+    summary = algebra_structure(alg).isotypic
     assert (2, 4) in summary.as_multiset()
 
 

@@ -113,6 +113,27 @@ def test_bosonic_gates_exponentiate_on_their_two_modes():
     assert rows["dualrail.csign"]["calls"] == 1
 
 
+def test_algebra_structures_are_built_once_per_report():
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    for report in (1, 2):
+        with t.report(report):
+            suites.run_suite(SuiteConfig())
+    for report in (1, 2):
+        rows = t.summary(report)
+        # collective noise, error-recovery words, Pauli, the trivial algebra
+        # and two bicommutants; the second report builds them all again
+        assert rows["frames.commutant_basis"]["calls"] == 6, report
+        assert rows["frames.isotypic_decomposition"]["calls"] <= 4, report
+
+
+@pytest.mark.parametrize("suite", ["algebra", "collective", "repetition"])
+def test_suite_alone_matches_its_slice_of_all(suite):
+    whole = run_suite(SuiteConfig())["checks"]
+    alone = run_suite(SuiteConfig(suite=suite))["checks"]
+    assert alone == [c for c in whole if c["name"].startswith(f"{suite}/")]
+
+
 def csign_checks(config4, gate):
     s = SimpleNamespace(tol=SuiteConfig().tolerance, config4=config4, csign=gate)
     return dict(suites._bosonic_csign(s))
