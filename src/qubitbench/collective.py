@@ -301,8 +301,9 @@ def _collective_unitaries(theta):
     angle = np.linalg.norm(theta, axis=-1)
     r = (np.cos(angle / 2.0)[:, None, None] * identity(2)
          - 0.5j * np.sinc(angle / (2.0 * np.pi))[:, None, None]
-         * np.einsum("na,aij->nij", theta, np.stack(_PAULIS)))
-    return np.einsum("nab,ncd,nef->nacebdf", r, r, r).reshape(-1, DIM, DIM)
+         * (theta @ np.reshape(_PAULIS, (3, 4))).reshape(-1, 2, 2))
+    rr = (r[:, :, None, :, None] * r[:, None, :, None, :]).reshape(-1, 4, 4)
+    return (rr[:, :, None, :, None] * r[:, None, :, None, :]).reshape(-1, DIM, DIM)
 
 
 def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
@@ -348,7 +349,7 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
                 draws = rng.standard_normal((n, 19))
                 psi = draws[:, 3:11] + 1j * draws[:, 11:]
                 psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-                phi = np.einsum("nij,nj->ni", _collective_unitaries(draws[:, :3]), psi)
+                phi = (_collective_unitaries(draws[:, :3]) @ psi[:, :, None])[:, :, 0]
                 dev = max(dev, max_abs(expectations(phi, members) - expectations(psi, members)))
             checks.append(CheckResult.of(
                 f"collective_unitary_expectation_invariance_{flavor}", dev, tol))

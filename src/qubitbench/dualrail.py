@@ -217,7 +217,12 @@ def csign(config, q1_modes=(1, 2), q2_modes=(3, 4), theta=np.pi / 4, phi=0.0):
 
 
 def leakage(state, config, pairs):
-    """Weight outside the joint unit-excitation sector of the given pairs."""
+    """Weight outside the joint unit-excitation sector of the given pairs.
+
+    state is one ket of shape (dim,), which gives a float, or a stack of
+    shape (..., dim), which gives an array of the batch shape, one leakage
+    per row; every row must have unit norm.
+    """
     state = np.asarray(state, dtype=complex)
     seen = set()
     for k, kp in pairs:
@@ -231,15 +236,22 @@ def leakage(state, config, pairs):
         config.check_mode(kp)
         keep &= (occs[:, k - 1] + occs[:, kp - 1]) == 1
     weights = np.abs(state) ** 2
-    _require_unit_norm(float(np.sum(weights)), "leakage")
-    inside = float(np.sum(weights[keep]))
+    _require_unit_norm(np.sum(weights, axis=-1), "leakage")
     # the clamp absorbs rounding only; unnormalized input was rejected above
-    return min(1.0, max(0.0, 1.0 - inside))
+    outside = np.clip(1.0 - np.sum(weights[..., keep], axis=-1), 0.0, 1.0)
+    return float(outside) if state.ndim == 1 else outside
 
 
 def _require_unit_norm(norm_sq, what):
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise ValueError(f"{what} needs a unit-norm state, got squared norm {norm_sq!r}")
+    """Raise unless every squared norm in norm_sq, one number or one per
+    row of a stack, is 1 within _NORM_TOL; name the worst row (C order)."""
+    flat = np.ravel(norm_sq)
+    off = np.abs(flat - 1.0)
+    if np.any(off > _NORM_TOL):
+        worst = int(np.argmax(off))
+        where = f" in row {worst}" if np.ndim(norm_sq) else ""
+        raise ValueError(f"{what} needs a unit-norm state, got squared norm "
+                         f"{float(flat[worst])!r}{where}")
 
 
 def logical_pairs(config):

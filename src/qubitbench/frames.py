@@ -206,10 +206,16 @@ class OperatorAlgebra:
 def _nullspace(stacked, rcond=1e-10):
     """Orthonormal rows spanning the nullspace of stacked.
 
-    A thin SVD suffices because every caller stacks at least as many rows as
-    columns, so the thin vh is square: a complete basis of the unknowns.
+    A tall stack is first reduced to the square R of its QR factorization,
+    which has the same singular values and right singular vectors, so the
+    SVD never forms the tall left factor.  The vh of a square or tall stack
+    is then square, a complete basis of the unknowns; a wide stack needs
+    the full vh for that.
     """
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    rows, cols = stacked.shape
+    if rows > cols:
+        stacked = np.linalg.qr(stacked, mode="r")
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=rows < cols)
     cutoff = rcond * max(1.0, svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cutoff))
     return vh[rank:].conj()

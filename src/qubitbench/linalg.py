@@ -171,11 +171,17 @@ def evolve(h, t):
 
 
 def expectations(states, ops):
-    """Re <psi|O_k|psi> for a stack of kets (..., d) and operators (k, d, d).
+    """Re <psi|O_k|psi> for kets of shape (..., d) and operators (k, d, d).
 
-    Returns shape (..., k).
+    states is one ket (d,) or a stack of any batch shape; the result has
+    shape (..., k), () batch giving (k,).  Every O_k psi comes out of one
+    (kets, d) @ (d, k d) product, which each ket's row then contracts with
+    its conjugate; the O_k need not be Hermitian.
     """
-    return np.einsum("...i,kij,...j->...k", states.conj(), ops, states).real
+    k, d, _ = ops.shape
+    flat = states.reshape(-1, d)
+    images = (flat @ ops.transpose(2, 0, 1).reshape(d, k * d)).reshape(-1, k, d)
+    return np.einsum("nki,ni->nk", images, flat.conj()).real.reshape(*states.shape[:-1], k)
 
 
 def partial_trace(rho, dims, keep):

@@ -256,6 +256,8 @@ def invariance_suite(trials, seed=0, tol=1e-9):
     # pure-state word letters R_b E_b: each reset matches the preceding
     # error, the only branch with nonzero amplitude
     word_steps = np.stack(channel.ops) @ errors
+    # tr(rho O_k) of a stack of rho is vec(rho) . vec(O_k^T)
+    obs_t = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
 
     single_dev = 0.0
     word_dev = 0.0
@@ -269,21 +271,21 @@ def invariance_suite(trials, seed=0, tol=1e-9):
         psi = encode(c[:, 0], c[:, 1])
         ref = expectations(psi, obs)
 
-        corrupted = np.einsum("aij,nj->nai", errors, psi)
+        corrupted = (errors @ psi.T).transpose(2, 0, 1)
         single_dev = max(single_dev, max_abs(expectations(corrupted, obs) - ref[:, None]))
 
         phi = psi.copy()
         rho = psi[:, :, None] * psi[:, None, :].conj()
         for step in range(3):
             word = lengths[:, 0] > step
-            phi[word] = np.einsum("nij,nj->ni", word_steps[letters[word, 0, step]], phi[word])
+            phi[word] = (word_steps[letters[word, 0, step]] @ phi[word][:, :, None])[:, :, 0]
             word_dev = max(word_dev, max_abs(expectations(phi[word], obs) - ref[word]))
 
             cycle = lengths[:, 1] > step
             e = errors[letters[cycle, 1, step]]
             rho[cycle] = channel.apply(e @ rho[cycle] @ e)
             channel_dev = max(channel_dev, max_abs(
-                np.einsum("nij,kji->nk", rho[cycle], obs).real - ref[cycle]))
+                (rho[cycle].reshape(-1, DIM * DIM) @ obs_t).real - ref[cycle]))
 
     words = error_recovery_words()
     alg = OperatorAlgebra(tuple(words.values()), label="error_recovery_words")

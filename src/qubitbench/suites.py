@@ -108,9 +108,16 @@ def _pairs(report, prefix=""):
     return ((prefix + c.name, c.max_deviation) for c in report.checks)
 
 
-def _random_amplitudes(rng):
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return c / np.linalg.norm(c)
+def _random_amplitudes(rng, n=None):
+    """Unit-norm amplitude pairs: one of shape (2,), or an (n, 2) stack
+    drawn as one (n, 2, 2) block.  Each pair takes two real parts, then two
+    imaginary parts, from the stream.  Its squared norm sums the two dot
+    products in the order np.linalg.norm does, through the same dot kernel,
+    so a stack equals n one-pair draws bit for bit."""
+    z = rng.standard_normal((1 if n is None else n, 2, 2))
+    sq = (z[..., None, :] @ z[..., :, None])[..., 0, 0]
+    c = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
+    return c[0] if n is None else c
 
 
 _TWO_QUBIT_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -160,7 +167,8 @@ def _bosonic_csign(s):
     the total photon number."""
     config4, u = s.config4, s.csign
     logical = [dr.prepare_logical(config4, bits) for bits in _TWO_QUBIT_BITS]
-    m = np.array([[np.vdot(a, u @ b) for b in logical] for a in logical])
+    images = [u @ b for b in logical]
+    m = np.array([[np.vdot(a, ub) for ub in images] for a in logical])
     phase = m[0, 0] / abs(m[0, 0])
     yield "csign_logical_matrix", max_abs(m / phase - np.diag([1.0, 1.0, 1.0, -1.0]))
     yield "csign_unitary", max_abs(dagger(u) @ u - identity(config4.dim))
@@ -197,8 +205,8 @@ def _bosonic_logical_evolution(s):
         states = np.array([c[0] * zero + c[1] * one for c, _ in draws])
         times = np.array([t for _, t in draws])
         for h in (s.frame.z, s.frame.x):
-            evolved = np.einsum("nij,nj->ni", evolve(h, times), states)
-            dev = max(dev, *(dr.leakage(phi, config2, [(1, 2)]) for phi in evolved))
+            evolved = (evolve(h, times) @ states[:, :, None])[:, :, 0]
+            dev = max(dev, float(np.max(dr.leakage(evolved, config2, [(1, 2)]))))
     yield "logical_evolution_stays_in_code_space", dev
 
 
@@ -333,10 +341,8 @@ def _repetition_error_basis_iso(s):
     errors = np.stack([rep.error_operator(a) for a in range(4)])
     dev = 0.0
     for n in trial_chunks(max(1, s.trials // 10)):
-        # drawn sample by sample, as the later families of this suite
-        # expect of the shared stream
-        c = np.array([_random_amplitudes(s.rng) for _ in range(n)])
-        corrupted = np.einsum("aij,nj->nai", errors, rep.encode(c[:, 0], c[:, 1]))
+        c = _random_amplitudes(s.rng, n)
+        corrupted = (errors @ rep.encode(c[:, 0], c[:, 1]).T).transpose(2, 0, 1)
         # qubit (x) syndrome amplitudes of each corrupted state; the qubit
         # factor's reduced operator is phi phi^dag over the syndrome index
         phi = (corrupted @ iso_q.unitary.T).reshape(n, 4, 2, 4)

@@ -73,3 +73,9 @@ def generated_algebra_dimension_oracle(alg, word_length=4, restrict_to=None):
     if restrict_to is not None:
         words = [dagger(restrict_to) @ w @ restrict_to for w in words]
     return _span_rank(words)
+
+
+def expectations_oracle(states, ops):
+    """Re <psi|O_k|psi> as one three-operand einsum over kets (..., d) and
+    operators (k, d, d)."""
+    return np.einsum("...i,kij,...j->...k", states.conj(), ops, states).real

@@ -335,6 +335,36 @@ def test_leakage_of_prepared_and_rotated_states():
         leakage(prepare_logical(config, (0, 0)), config, [(1, 2), (2, 3)])
 
 
+def random_register_states(config, batch, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((*batch, config.dim)) + 1j * rng.standard_normal((*batch, config.dim))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("num_modes, batch", [(2, (256,)), (4, (7,)), (4, (3, 5)), (2, (0,))])
+def test_stacked_leakage_equals_per_row_calls(num_modes, batch):
+    config = FockConfig(num_modes, 2)
+    pairs = logical_pairs(config)
+    states = random_register_states(config, batch, num_modes)
+    # half of each stack inside the code space, where leakage is ~0
+    rows = states.reshape(-1, config.dim)
+    rows[::2] = prepare_logical(config, (1,) * config.num_qubits)
+    got = leakage(states, config, pairs)
+    assert got.shape == batch
+    per_row = np.array([leakage(row, config, pairs) for row in rows]).reshape(batch)
+    assert got.tobytes() == per_row.tobytes()
+    assert all(type(leakage(row, config, pairs)) is float for row in rows)
+
+
+def test_stacked_leakage_rejects_one_off_norm_row():
+    config = FockConfig(2, 2)
+    states = random_register_states(config, (256,), 3)
+    leakage(states, config, [(1, 2)])
+    states[137] *= np.sqrt(1.0 + 1e-6)
+    with pytest.raises(ValueError, match=r"unit-norm.*in row 137$"):
+        leakage(states, config, [(1, 2)])
+
+
 def test_midgate_leakage_peaks_at_quarter_pi():
     config = FockConfig(4, 2)
     pairs = logical_pairs(config)

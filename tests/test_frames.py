@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qubitbench.collective import collective_ops, noiseless_frame, protected_basis
 from qubitbench.frames import (
+    _nullspace,
     CheckResult,
     EncodedQubitFrame,
     OperatorAlgebra,
@@ -143,6 +144,33 @@ def test_report_json_shape():
     assert report.check("cyclic_commutators") == report.checks[1]
     with pytest.raises(KeyError):
         report.check("not_a_check")
+
+
+def planted_singular_values(rng, rows, cols, tail):
+    """rows x cols complex matrix whose singular values are 2.0, then
+    values in [0.5, 2], then the given tail values."""
+    k = min(rows, cols)
+    svals = np.concatenate([[2.0], rng.uniform(0.5, 2.0, k - 1 - len(tail)), tail])
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)) + 1j * rng.standard_normal((cols, k)))
+    return (u * svals) @ v.conj().T
+
+
+@pytest.mark.parametrize("rows, cols", [(448, 16), (40, 16), (16, 16), (10, 16)],
+                         ids=["tall-stack", "tall", "square", "wide"])
+def test_nullspace_matches_direct_svd(rows, cols):
+    # 1e-9 and 1e-11 relative to the largest singular value lie on either
+    # side of rcond = 1e-10: the first is kept, the second joins the zeros
+    rng = np.random.default_rng(rows * cols)
+    a = planted_singular_values(rng, rows, cols, [2e-9, 2e-11, 0.0, 0.0])
+    _, svals, vh = np.linalg.svd(a)  # full: vh is a complete basis for any shape
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    assert rank == min(rows, cols) - 3
+    null = _nullspace(a)
+    assert null.shape == (cols - rank, cols)
+    oracle = vh[rank:].conj()
+    assert max_abs(null.T @ null.conj() - oracle.T @ oracle.conj()) <= 1e-12
+    assert max_abs(null.conj() @ null.T - identity(cols - rank)) <= 1e-12
 
 
 def test_commutant_of_irreducible_algebra_is_scalars():

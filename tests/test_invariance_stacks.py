@@ -6,16 +6,22 @@ only.  Many deviations are exactly 0.0 for the protected frames, so the
 stacked and scalar paths are also compared on unprotected frames, where a
 stacked expression that compared a state with itself would read 0.  The
 sampled repetition check errors_leave_qubit_factor_untouched, also run as
-stacks, is compared with the per-sample partial_trace loop it replaced.
+stacks, is compared with the per-sample partial_trace loop it replaced, and
+its bulk amplitude draw with the per-sample draws.  The sampled bosonic
+check evolves and measures whole stacks, one leakage call per stack and
+generator.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qubitbench import collective as col
+from qubitbench import dualrail as dr
 from qubitbench import repetition as rep
+from qubitbench import suites
 from qubitbench.suites import SuiteConfig, run_suite
 from qubitbench.frames import EncodedQubitFrame
 from qubitbench.linalg import (
@@ -224,6 +230,57 @@ def test_qubit_factor_stacks_are_sensitive(trials, seed, monkeypatch):
     got = qubit_factor_check(trials, seed)
     assert got > 0.1
     assert abs(got - qubit_factor_oracle(trials, seed, iso)) <= 1e-12
+
+
+def amplitudes_oracle(rng):
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return c / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [None, 1, 7, TRIAL_CHUNK, 300])
+def test_amplitude_block_equals_per_sample_draws(n, seed):
+    bulk_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = suites._random_amplitudes(bulk_rng, n)
+    expected = (amplitudes_oracle(sample_rng) if n is None
+                else np.array([amplitudes_oracle(sample_rng) for _ in range(n)]))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert bulk_rng.bit_generator.state == sample_rng.bit_generator.state
+
+
+def logical_evolution_oracle(trials, seed, frame, config):
+    """Per-sample bosonic/logical_evolution_stays_in_code_space: one drawn
+    state, one time and one 1-D leakage call at a time."""
+    rng = np.random.default_rng(seed)
+    zero, one = dr.prepare_logical(config, (0,)), dr.prepare_logical(config, (1,))
+    draws = [(amplitudes_oracle(rng), rng.uniform(0.0, 2.0 * np.pi))
+             for _ in range(max(1, trials // 10))]
+    return max(dr.leakage(evolve(h, t) @ (c[0] * zero + c[1] * one), config, [(1, 2)])
+               for h in (frame.z, frame.x) for c, t in draws)
+
+
+@pytest.mark.parametrize("trials, stacks", [(10, [1]), (3000, [TRIAL_CHUNK, 44])])
+def test_logical_evolution_calls_leakage_once_per_stack_and_generator(trials, stacks,
+                                                                      monkeypatch):
+    # max(1, trials // 10) samples: 300 at 3000 trials, in stacks of 256 and 44
+    config = dr.FockConfig(2, 2)
+    frame = dr.dual_rail_frame(config, 1, 2)
+    shapes = []
+    leakage = dr.leakage
+
+    def counted(state, *args):
+        shapes.append(np.shape(state))
+        return leakage(state, *args)
+
+    monkeypatch.setattr(dr, "leakage", counted)
+    s = SimpleNamespace(config2=config, frame=frame, trials=trials,
+                        rng=np.random.default_rng(5))
+    [(name, dev)] = suites._bosonic_logical_evolution(s)
+    assert shapes == [(n, config.dim) for n in stacks for _ in range(2)]
+    assert len(shapes) <= 4
+    monkeypatch.setattr(dr, "leakage", leakage)
+    assert abs(dev - logical_evolution_oracle(trials, 5, frame, config)) <= 1e-12
+    assert dev <= 1e-9
 
 
 MEMORY_GUARD_BYTES = 4 * 2**20

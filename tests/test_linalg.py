@@ -17,6 +17,7 @@ from qubitbench.linalg import (
     eigh,
     embed,
     evolve,
+    expectations,
     identity,
     is_hermitian,
     kron,
@@ -29,7 +30,13 @@ from qubitbench.linalg import (
     sigma_z,
 )
 
-from linalg_oracles import is_projector, is_unitary, kraus_apply_oracle, random_hermitian
+from linalg_oracles import (
+    expectations_oracle,
+    is_projector,
+    is_unitary,
+    kraus_apply_oracle,
+    random_hermitian,
+)
 
 
 def expm_taylor(m, terms=40):
@@ -351,3 +358,23 @@ def test_kraus_channel_apply_rejects_wrong_shape():
     for bad in (np.zeros(4), np.zeros((3, 3)), np.zeros((5, 2, 3)), np.zeros((2, 2, 2, 2))):
         with pytest.raises(ValueError):
             channel.apply(bad)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("batch", [(), (5,), (5, 4)], ids=["one", "n", "n-by-4"])
+def test_expectations_matches_einsum_oracle(batch, k):
+    # non-Hermitian operators: the real part of <psi|O|psi> still has to
+    # come out of every entry of O
+    rng = np.random.default_rng(len(batch) * 10 + k)
+    d = 8
+    ops = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    states = rng.standard_normal((*batch, d)) + 1j * rng.standard_normal((*batch, d))
+    got = expectations(states, ops)
+    assert got.shape == (*batch, k)
+    assert got.dtype == np.float64
+    assert max_abs(got - expectations_oracle(states, ops)) <= 1e-12 * max(1.0, max_abs(got))
+
+
+def test_expectations_of_empty_stack():
+    ops = np.stack([sigma_x, sigma_z])
+    assert expectations(np.zeros((0, 2), dtype=complex), ops).shape == (0, 2)
