@@ -11,11 +11,9 @@ operator-algebra machinery that certifies them lives in `frames`.
 
 from .frames import (
     AlgebraStructure,
-    CheckResult,
     EncodedQubitFrame,
     IsotypicSummary,
     OperatorAlgebra,
-    VerificationReport,
     algebra_structure,
     commutant_basis,
     expectation,
@@ -27,12 +25,10 @@ from .linalg import KrausChannel, child_seed
 
 __all__ = [
     "AlgebraStructure",
-    "CheckResult",
     "EncodedQubitFrame",
     "IsotypicSummary",
     "KrausChannel",
     "OperatorAlgebra",
-    "VerificationReport",
     "algebra_structure",
     "child_seed",
     "commutant_basis",

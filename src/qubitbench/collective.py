@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    CheckResult,
-    EncodedQubitFrame,
-    VerificationReport,
-)
+from .frames import EncodedQubitFrame
 from .linalg import (
     basis_state,
     commutator,
@@ -73,13 +69,16 @@ KERNEL_SV_THRESHOLD = 1e-8
 MIN_KERNEL_SPLIT = 1e-4
 
 
+@functools.cache
 def collective_ops(n_spins):
-    """Total spin components S_alpha = sum_i sigma_alpha^(i) / 2."""
+    """Total spin components S_alpha = sum_i sigma_alpha^(i) / 2; the
+    arrays are shared and read-only."""
     out = []
     for pauli in _PAULIS:
         s = np.zeros((2 ** n_spins, 2 ** n_spins), dtype=complex)
         for i in range(n_spins):
             s += embed(pauli, i, n_spins) / 2.0
+        s.setflags(write=False)
         out.append(s)
     return tuple(out)
 
@@ -90,37 +89,38 @@ def total_spin_ops():
     return sx, sy, sz, sx @ sx + sy @ sy + sz @ sz
 
 
-def joint_kernel_dimension(n_spins, sv_threshold=KERNEL_SV_THRESHOLD):
+def joint_kernel_dimension(n_spins):
     """Dimension of the common null space of the collective generators.
 
     Returns (dimension, margin): margin is the gap between the singular
-    values kept below the threshold and the first one above it.
+    values kept below KERNEL_SV_THRESHOLD and the first one above it.
     """
     ops = collective_ops(n_spins)
     stacked = np.vstack(ops)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    below = svals[svals < sv_threshold]
-    above = svals[svals >= sv_threshold]
+    below = svals[svals < KERNEL_SV_THRESHOLD]
+    above = svals[svals >= KERNEL_SV_THRESHOLD]
     dim = int(below.size)
     top = float(below.max()) if below.size else 0.0
     bottom = float(above.min()) if above.size else np.inf
     return dim, bottom - top
 
 
-def no_invariant_state_check(tol=1e-9):
+def no_invariant_state_check():
     """No three-spin state is annihilated by all collective generators.
 
     Contrasts with two spins (one invariant state, the pair singlet) and
-    four spins (a two-dimensional invariant subspace).
+    four spins (a two-dimensional invariant subspace).  Returns the named
+    deviations of the kernel dimension and of the split margin from
+    MIN_KERNEL_SPLIT, per spin count.
     """
     expected = {3: 0, 2: 1, 4: 2}
-    checks = []
+    checks = {}
     for n in (3, 2, 4):
         dim, margin = joint_kernel_dimension(n)
-        checks.append(CheckResult.of(f"joint_kernel_dim_{n}_spins", abs(dim - expected[n]), tol))
-        checks.append(CheckResult.of(f"kernel_split_margin_{n}_spins",
-                                     max(0.0, MIN_KERNEL_SPLIT - margin), tol))
-    return VerificationReport(checks)
+        checks[f"joint_kernel_dim_{n}_spins"] = abs(dim - expected[n])
+        checks[f"kernel_split_margin_{n}_spins"] = max(0.0, MIN_KERNEL_SPLIT - margin)
+    return checks
 
 
 def _ket(bits):
@@ -306,13 +306,15 @@ def _collective_unitaries(theta):
     return (rr[:, :, None, :, None] * r[:, None, :, None, :]).reshape(-1, DIM, DIM)
 
 
-def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
-    """Protection evidence for both flavors of the three-spin qubit.
+def noiseless_invariance_suite(trials, seed=0):
+    """Protection evidence for both flavors of the three-spin qubit, as an
+    ordered dict from check name to deviation.
 
     Static part: every frame member commutes with every collective
     generator, and in protected coordinates each generator is 1 (x) B with
     2B a unit-norm real Pauli combination.  Randomized part: expectations of
-    the frame observables are invariant under random collective unitaries.
+    the frame observables are invariant under random collective unitaries;
+    trials = 0 drops it.
 
     Trials run in stacks of at most linalg.TRIAL_CHUNK.  Per flavor, a stack
     of n draws one standard normal block (n, 19): the rotation vector theta
@@ -323,7 +325,7 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
         raise ValueError("trials must be >= 0")
     generators = collective_ops(N_SPINS)
     rng = np.random.default_rng(seed)
-    checks = []
+    checks = {}
     for flavor in FLAVORS:
         frame = noiseless_frame(flavor)
         members = np.stack(frame.observables() + (frame.support,))
@@ -333,15 +335,15 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
             for o in members
             for s in generators
         )
-        checks.append(CheckResult.of(f"frame_commutes_with_noise_{flavor}", commute_dev, tol))
+        checks[f"frame_commutes_with_noise_{flavor}"] = commute_dev
 
         blocks, block_dev = gauge_blocks(flavor)
         unit_dev = 0.0
         for b in blocks:
             coeffs, residual = pauli_coefficients(2.0 * b)
             unit_dev = max(unit_dev, residual, abs(float(coeffs @ coeffs) - 1.0))
-        checks.append(CheckResult.of(f"noise_block_structure_{flavor}", block_dev, tol))
-        checks.append(CheckResult.of(f"gauge_action_unit_pauli_{flavor}", unit_dev, tol))
+        checks[f"noise_block_structure_{flavor}"] = block_dev
+        checks[f"gauge_action_unit_pauli_{flavor}"] = unit_dev
 
         if trials > 0:
             dev = 0.0
@@ -351,9 +353,8 @@ def noiseless_invariance_suite(trials, seed=0, tol=1e-9):
                 psi /= np.linalg.norm(psi, axis=1, keepdims=True)
                 phi = (_collective_unitaries(draws[:, :3]) @ psi[:, :, None])[:, :, 0]
                 dev = max(dev, max_abs(expectations(phi, members) - expectations(psi, members)))
-            checks.append(CheckResult.of(
-                f"collective_unitary_expectation_invariance_{flavor}", dev, tol))
-    return VerificationReport(checks)
+            checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
+    return checks
 
 
 def purity_of_protected_qubit(psi_q, rho_gauge, flavor="singlet_triplet", factor="qubit"):

@@ -2,7 +2,8 @@
 
 An encoded qubit is specified operationally: a support projector P together
 with Hermitian observables X, Y, Z that reproduce the Pauli relations on the
-range of P.  ``verify_frame`` turns that definition into a numerical report.
+range of P.  ``verify_frame`` turns that definition into named deviations,
+one per relation; judging them against a tolerance is left to the caller.
 The commutant and isotypic machinery locates such qubits inside the structure
 that a noise algebra imposes on the state space.
 
@@ -37,8 +38,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "CheckResult",
-    "VerificationReport",
     "EncodedQubitFrame",
     "OperatorAlgebra",
     "IsotypicSummary",
@@ -52,52 +51,6 @@ __all__ = [
     "expectation",
     "generated_algebra_dimension",
 ]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named numerical check with its worst deviation."""
-
-    name: str
-    max_deviation: float
-    passed: bool
-
-    @classmethod
-    def of(cls, name, deviation, tol):
-        """The check passes when its deviation is at most tol."""
-        deviation = float(deviation)
-        return cls(name, deviation, deviation <= tol)
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "max_deviation": self.max_deviation,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """The named checks of one verification, in order."""
-
-    checks: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
-
-    @property
-    def all_pass(self):
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_deviation(self):
-        return max((c.max_deviation for c in self.checks), default=0.0)
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -128,14 +81,13 @@ class EncodedQubitFrame:
         return (self.x, self.y, self.z)
 
 
-def verify_frame(frame, tol=1e-9):
-    """Check that (P, X, Y, Z) generates the operator algebra of one qubit.
+def verify_frame(frame):
+    """Named worst entrywise deviations of (P, X, Y, Z) from one qubit's algebra.
 
-    Six checks, each reported with its worst entrywise deviation:
-    hermiticity, the cyclic commutators [A,B] = 2iC, the anticommutators
-    {A,B} = 2 delta_AB P, squares A^2 = P, confinement PA = AP = A, and an
-    even support trace of at least 2 (a qubit needs two levels per syndrome
-    value).
+    An ordered dict over six checks: hermiticity, the cyclic commutators
+    [A,B] = 2iC, the anticommutators {A,B} = 2 delta_AB P, squares A^2 = P,
+    confinement PA = AP = A, and an even support trace of at least 2 (a
+    qubit needs two levels per syndrome value).
     """
     p = frame.support
     obs = dict(zip("XYZ", frame.observables()))
@@ -163,14 +115,14 @@ def verify_frame(frame, tol=1e-9):
     nearest_even = max(2.0, 2.0 * np.round(tr / 2.0))
     parity = abs(tr - nearest_even)
 
-    return VerificationReport((
-        CheckResult.of("hermitian_observables", herm, tol),
-        CheckResult.of("cyclic_commutators", comm, tol),
-        CheckResult.of("pairwise_anticommutators", anti, tol),
-        CheckResult.of("squares_equal_support", squares, tol),
-        CheckResult.of("observables_confined_to_support", confined, tol),
-        CheckResult.of("support_trace_even", parity, tol),
-    ))
+    return {
+        "hermitian_observables": herm,
+        "cyclic_commutators": comm,
+        "pairwise_anticommutators": anti,
+        "squares_equal_support": squares,
+        "observables_confined_to_support": confined,
+        "support_trace_even": parity,
+    }
 
 
 @dataclass(frozen=True)
@@ -334,15 +286,12 @@ def algebra_structure(alg):
     return AlgebraStructure(alg, comm, isotypic_decomposition(comm))
 
 
-def frame_commutes_with(frame, alg, tol=1e-9):
-    """Worst commutator of each generator against the frame observables."""
+def frame_commutes_with(frame, alg):
+    """Worst entry of [O, G] over the frame observables O and the generators
+    G of alg; zero when the frame lies in the commutant."""
     if frame.ambient_dim != alg.ambient_dim:
         raise ValueError("frame and algebra dimensions differ")
-    return VerificationReport(
-        CheckResult.of(f"commutes_with_generator_{j}",
-                       max(max_abs(commutator(o, g)) for o in frame.observables()), tol)
-        for j, g in enumerate(alg.generators)
-    )
+    return max_abs([commutator(o, g) for g in alg.generators for o in frame.observables()])
 
 
 def expectation(op, state, tol=1e-9):

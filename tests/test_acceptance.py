@@ -77,7 +77,7 @@ def test_frame_axioms_all_constructions():
         noiseless_frame("omega"),
         noiseless_frame("singlet_triplet"),
     )
-    worst = max(verify_frame(f, tol=1e-9).max_deviation for f in frames)
+    worst = max(max(verify_frame(f).values()) for f in frames)
     ok = worst <= 1e-9
     report("frame_axioms_four_constructions", ok, f"max deviation {worst:.2e}")
     assert ok
@@ -212,7 +212,7 @@ def test_collective_noise_protection():
     dims_ok = True
     margins_ok = True
     for n, expected in ((3, 0), (2, 1), (4, 2)):
-        dim, margin = joint_kernel_dimension(n, sv_threshold=1e-8)
+        dim, margin = joint_kernel_dimension(n)
         dims_ok = dims_ok and dim == expected
         margins_ok = margins_ok and margin >= 1e-4
 

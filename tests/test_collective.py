@@ -90,8 +90,8 @@ def test_two_spin_kernel_is_the_pair_singlet():
 
 def test_no_invariant_state_report():
     report = no_invariant_state_check()
-    assert report.all_pass
-    names = {c.name for c in report.checks}
+    assert max(report.values()) <= 1e-9
+    names = set(report)
     for n in (2, 3, 4):
         assert f"joint_kernel_dim_{n}_spins" in names
         assert f"kernel_split_margin_{n}_spins" in names
@@ -115,6 +115,15 @@ def test_scalars_and_protected_bases_are_shared_and_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a[0, 0] = 2.0
+
+
+def test_collective_ops_are_shared_and_read_only():
+    for n_spins in (2, 3):
+        ops = collective_ops(n_spins)
+        assert all(a is b for a, b in zip(ops, collective_ops(n_spins)))
+        for a in ops:
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
 
 
 def test_rotation_scalars_match_oracle():
@@ -200,8 +209,8 @@ def test_protected_basis_spans_spin_half_sector(flavor):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_noiseless_frame_axioms(flavor):
-    report = verify_frame(noiseless_frame(flavor), tol=1e-12)
-    assert report.all_pass
+    report = verify_frame(noiseless_frame(flavor))
+    assert max(report.values()) <= 1e-12
 
 
 def test_omega_frame_action_on_basis():
@@ -277,8 +286,8 @@ def test_collective_unitaries_match_evolve():
 
 def test_invariance_suite_runs_green():
     report = noiseless_invariance_suite(10, seed=4)
-    assert report.all_pass
-    assert report.checks == noiseless_invariance_suite(10, seed=4).checks
+    assert max(report.values()) <= 1e-9
+    assert list(report.items()) == list(noiseless_invariance_suite(10, seed=4).items())
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -299,7 +308,7 @@ def test_exchange_sector_frames_are_partial():
     frames = exchange_sector_frames("omega")
     assert len(frames) == 2
     for frame in frames:
-        assert verify_frame(frame, tol=1e-12).all_pass
+        assert max(verify_frame(frame).values()) <= 1e-12
         assert np.trace(frame.support).real == pytest.approx(2.0, abs=1e-12)
         for o in frame.observables():
             assert max_abs(commutator(o, sz)) < 1e-12

@@ -110,7 +110,7 @@ def collective_oracle(trials, seed, frame_of):
 
 
 def randomized(report, names):
-    return {c.name: c.max_deviation for c in report.checks if c.name in names}
+    return {name: dev for name, dev in report.items() if name in names}
 
 
 def qubit_one_frame(n_sites):

@@ -231,6 +231,18 @@ def test_protected_expectations_survive_any_word():
                     assert abs(expectation(o, out) - ref) < 1e-12
 
 
+def test_channel_frame_and_words_are_shared_and_read_only():
+    channel, frame, words = recovery_channel(), frame_from_errors(), error_recovery_words()
+    assert channel is recovery_channel()
+    assert frame is frame_from_errors()
+    assert words is error_recovery_words()
+    for a in (*channel.ops, frame.support, *frame.observables(), *words.values()):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        words[(0, 0)] = identity(DIM)
+
+
 def test_word_algebra_has_two_by_four_block():
     alg = OperatorAlgebra(tuple(error_recovery_words().values()), "words")
     summary = algebra_structure(alg).isotypic
@@ -239,8 +251,8 @@ def test_word_algebra_has_two_by_four_block():
 
 def test_invariance_suite_report_shape():
     report = invariance_suite(5, seed=1)
-    assert report.all_pass
-    names = [c.name for c in report.checks]
+    assert max(report.values()) <= 1e-9
+    names = list(report)
     assert "single_error_expectation_invariance" in names
     assert "recovered_word_expectation_invariance" in names
     assert "error_then_recovery_channel_invariance" in names
@@ -249,11 +261,11 @@ def test_invariance_suite_report_shape():
 
 def test_invariance_suite_zero_trials_is_static():
     report = invariance_suite(0, seed=1)
-    assert report.all_pass
-    assert [c.name for c in report.checks] == ["frame_commutes_with_error_recovery_words"]
+    assert max(report.values()) <= 1e-9
+    assert list(report) == ["frame_commutes_with_error_recovery_words"]
 
 
 def test_invariance_suite_deterministic_per_seed():
-    a = invariance_suite(4, seed=9).checks
-    b = invariance_suite(4, seed=9).checks
+    a = list(invariance_suite(4, seed=9).items())
+    b = list(invariance_suite(4, seed=9).items())
     assert a == b

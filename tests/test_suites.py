@@ -1,10 +1,12 @@
 """The check list of run_suite, the families that emit it and what trips
 them, and the package names the benchmark tracer wraps."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -153,3 +155,37 @@ def test_csign_family_trips_on_corrupted_gates():
     }
     for name, gate in breakers.items():
         assert csign_checks(config4, gate)[name] > tol, name
+
+
+@pytest.mark.parametrize("workload", PINNED)
+def test_tolerance_only_moves_pass_flags(workload):
+    def report(tol):
+        return run_suite(dataclasses.replace(workload_config(workload, 0), tolerance=tol))
+
+    base = report(1e-9)
+    for tol in (1e-3, 1e-15):
+        doc = report(tol)
+        assert doc.keys() == base.keys()
+        assert doc["suite"] == base["suite"]
+        assert doc["config"] == {**base["config"], "tolerance": tol}
+        assert ([(c["name"], c["max_deviation"]) for c in doc["checks"]]
+                == [(c["name"], c["max_deviation"]) for c in base["checks"]])
+        assert all(c["pass"] == (c["max_deviation"] <= tol) for c in doc["checks"])
+        assert doc["all_pass"] == all(c["pass"] for c in doc["checks"])
+
+
+def test_a_deviation_at_the_tolerance_passes_and_nan_fails(monkeypatch):
+    tol = SuiteConfig().tolerance
+
+    def boundary(s):
+        """A deviation equal to the tolerance, and one that is not a number."""
+        yield "at_tolerance", tol
+        yield "not_a_number", float("nan")
+
+    monkeypatch.setitem(suites._FAMILIES, "algebra", (boundary,))
+    doc = run_suite(SuiteConfig(suite="algebra", tolerance=tol))
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [
+        ("algebra/at_tolerance", True), ("algebra/not_a_number", False)]
+    assert doc["checks"][0]["max_deviation"] == tol
+    assert math.isnan(doc["checks"][1]["max_deviation"])
+    assert not doc["all_pass"]
