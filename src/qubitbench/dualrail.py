@@ -10,10 +10,12 @@ destructive photodetection.  Diagonal operators (occupation numbers, pair
 projectors, the sign gate) are returned as their diagonals, 1-D arrays.
 
 The two-mode gates are exponentiated on the (cutoff+1)^2 space of the two
-modes they touch and lifted to the register with ``linalg.embed``.  This is
-exact, not an approximation: the truncation is per mode, so a two-mode
-generator on the register is that generator (x) 1, and so is its
-exponential.
+modes they touch and lifted to the register of the config they are given
+with ``linalg.embed``.  This is exact, not an approximation: the truncation
+is per mode, so a two-mode generator on the register is that generator
+(x) 1, and so is its exponential.  Built on a two-mode config, a gate is
+that (cutoff+1)^2 factor, and ``linalg.apply_on`` applies it to the states
+of a larger register without forming the register operator.
 
 Mode indices are 1-based; mode 1 is the most significant index of the basis
 ordering.
@@ -194,20 +196,22 @@ def ns_gate(config, k):
     return np.where(counts >= 2, -1.0, 1.0)
 
 
-def csign(config, q1_modes=(1, 2), q2_modes=(3, 4), theta=np.pi / 4, phi=0.0):
-    """Conditional sign gate on two dual-rail qubits.
+def csign(config, k1=1, k2=3, theta=np.pi / 4, phi=0.0):
+    """Conditional sign gate on modes k1 and k2, one mode of each of two
+    dual-rail qubits.
 
-    Composition: a beam splitter between the first modes of the two pairs,
-    the sign-on-two-photons gate on each of those modes, then the inverse
-    beam splitter.  At theta = pi/4 the restriction to the two-qubit logical
-    space is diag(1, 1, 1, -1).  All three factors act on those two modes
-    only, so the product is formed on their (cutoff+1)^2 space and lifted
-    to the register once; as for beam_splitter, the lift is exact.
+    Composition: a beam splitter between modes k1 and k2, the
+    sign-on-two-photons gate on each of them, then the inverse beam
+    splitter.  With k1 and k2 the first modes of two pairs (the defaults:
+    pairs (1, 2) and (3, 4)) and theta = pi/4, the restriction to the
+    two-qubit logical space is diag(1, 1, 1, -1).  All three factors act on
+    the two modes only, so the product is formed on their (cutoff+1)^2
+    space and lifted to the register of config once; as for beam_splitter,
+    the lift is exact.  csign(FockConfig(2, cutoff), 1, 2) is that factor
+    itself, for ``linalg.apply_on`` to apply to a register's states.
     """
     if config.cutoff < 2:
         raise ValueError("csign needs cutoff >= 2")
-    k1 = q1_modes[0]
-    k2 = q2_modes[0]
     config.check_mode(k1)
     config.check_mode(k2)
     pair = FockConfig(2, config.cutoff)

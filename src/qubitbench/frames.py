@@ -81,6 +81,12 @@ class EncodedQubitFrame:
         return (self.x, self.y, self.z)
 
 
+def _worst(deviations):
+    """The largest of the deviations, NaN if any is NaN (Python's max keeps
+    its first argument when a later one is NaN)."""
+    return float(np.max(list(deviations)))
+
+
 def verify_frame(frame):
     """Named worst entrywise deviations of (P, X, Y, Z) from one qubit's algebra.
 
@@ -92,24 +98,13 @@ def verify_frame(frame):
     p = frame.support
     obs = dict(zip("XYZ", frame.observables()))
 
-    herm = max(max_abs(o - dagger(o)) for o in obs.values())
-
-    comm = 0.0
-    for a, b, c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-        comm = max(comm, max_abs(commutator(obs[a], obs[b]) - 2j * obs[c]))
-
-    anti = 0.0
-    names = "XYZ"
-    for a in names:
-        for b in names:
-            target = 2.0 * p if a == b else 0.0
-            anti = max(anti, max_abs(anticommutator(obs[a], obs[b]) - target))
-
-    squares = max(max_abs(o @ o - p) for o in obs.values())
-
-    confined = max(
-        max(max_abs(p @ o - o), max_abs(o @ p - o)) for o in obs.values()
-    )
+    herm = _worst(max_abs(o - dagger(o)) for o in obs.values())
+    comm = _worst(max_abs(commutator(obs[a], obs[b]) - 2j * obs[c])
+                  for a, b, c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")))
+    anti = _worst(max_abs(anticommutator(obs[a], obs[b]) - (2.0 * p if a == b else 0.0))
+                  for a in "XYZ" for b in "XYZ")
+    squares = _worst(max_abs(o @ o - p) for o in obs.values())
+    confined = _worst(max_abs(q - o) for o in obs.values() for q in (p @ o, o @ p))
 
     tr = float(np.real(np.trace(p)))
     nearest_even = max(2.0, 2.0 * np.round(tr / 2.0))

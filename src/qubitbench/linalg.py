@@ -32,6 +32,7 @@ __all__ = [
     "kron",
     "kron_all",
     "embed",
+    "apply_on",
     "commutator",
     "anticommutator",
     "is_hermitian",
@@ -93,13 +94,9 @@ def kron_all(*ops):
     return out
 
 
-def embed(op, sites, n_sites):
-    """op on the given factors of n_sites equal factors, identity on the others.
-
-    sites is one factor index, or an ordered tuple of distinct ones: tensor
-    factor j of op (factor 0 most significant) acts on factor sites[j], so
-    the sites may be non-adjacent and in any order.
-    """
+def _site_layout(op, sites, n_sites):
+    """(sites, rest, d) for op on the given factors of n_sites equal factors
+    of dimension d: sites as a tuple, the other factors in ascending order."""
     sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
     rest = [s for s in range(n_sites) if s not in sites]
     if len(sites) + len(rest) != n_sites:  # a repeated or out-of-range site
@@ -107,6 +104,17 @@ def embed(op, sites, n_sites):
     d = round(op.shape[0] ** (1.0 / len(sites)))
     if d ** len(sites) != op.shape[0]:
         raise ValueError(f"dimension {op.shape[0]} is not a power of {len(sites)} equal factors")
+    return sites, rest, d
+
+
+def embed(op, sites, n_sites):
+    """op on the given factors of n_sites equal factors, identity on the others.
+
+    sites is one factor index, or an ordered tuple of distinct ones: tensor
+    factor j of op (factor 0 most significant) acts on factor sites[j], so
+    the sites may be non-adjacent and in any order.
+    """
+    sites, rest, d = _site_layout(op, sites, n_sites)
     # op (x) 1 has its factors in the order sites + rest; permute them back
     # (list.index, not np.argsort: its sort kernels add about 0.5 MB of RSS)
     full = kron(op, identity(d ** len(rest))).reshape((d,) * (2 * n_sites))
@@ -114,6 +122,21 @@ def embed(op, sites, n_sites):
     back = [order.index(i) for i in range(n_sites)]
     full = full.transpose(back + [n_sites + i for i in back])
     return full.reshape(d ** n_sites, d ** n_sites)
+
+
+def apply_on(op, sites, n_sites, states):
+    """embed(op, sites, n_sites) @ psi for one ket psi, or for each ket of a
+    (..., d**n_sites) stack, without forming the lift.
+
+    op's input factors are contracted with the kets' factors at sites, and
+    its output factors are moved back to those places.
+    """
+    sites, _, d = _site_layout(op, sites, n_sites)
+    k, batch = len(sites), states.shape[:-1]
+    kets = states.reshape(batch + (d,) * n_sites)
+    at = [len(batch) + s for s in sites]
+    out = np.tensordot(op.reshape((d,) * (2 * k)), kets, axes=(list(range(k, 2 * k)), at))
+    return np.moveaxis(out, range(k), at).reshape(states.shape)
 
 
 def _check_same_square(a, b, what):

@@ -35,6 +35,7 @@ from .frames import (
     verify_frame,
 )
 from .linalg import (
+    apply_on,
     basis_state,
     child_seed,
     commutator,
@@ -164,30 +165,34 @@ def _bosonic_projector_number_identity(s):
 def _bosonic_csign(s):
     """BS(1,3)^dag NS_1 NS_3 BS(1,3) = diag(1, 1, 1, -1) on the logical basis
     at theta = pi/4, up to a global phase; the gate is unitary and conserves
-    the total photon number."""
-    config4, u = s.config4, s.csign
-    logical = [dr.prepare_logical(config4, bits) for bits in _TWO_QUBIT_BITS]
-    images = [u @ b for b in logical]
-    m = np.array([[np.vdot(a, ub) for ub in images] for a in logical])
+    the total photon number.  The gate g is built on modes 1 and 3 alone and
+    applied to the register's logical states there.  The register gate is
+    U = g (x) 1 up to an order of factors, so U^dag U - 1 = (g^dag g - 1) (x) 1
+    and [U, N] = [g, n_1 + n_3] (x) 1 entry for entry: both checks are exact
+    on g."""
+    g = s.csign
+    logical = np.array([dr.prepare_logical(s.config4, bits) for bits in _TWO_QUBIT_BITS])
+    m = logical.conj() @ apply_on(g, (0, 2), _NUM_MODES, logical).T
     phase = m[0, 0] / abs(m[0, 0])
     yield "csign_logical_matrix", max_abs(m / phase - np.diag([1.0, 1.0, 1.0, -1.0]))
-    yield "csign_unitary", max_abs(dagger(u) @ u - identity(config4.dim))
-    n_total = sum(dr.number(config4, k) for k in range(1, 5))
-    yield "csign_conserves_photon_number", max_abs(u * n_total - n_total[:, None] * u)
+    yield "csign_unitary", max_abs(dagger(g) @ g - identity(g.shape[0]))
+    n_pair = dr.number(s.config2, 1) + dr.number(s.config2, 2)
+    yield "csign_conserves_photon_number", max_abs(g * n_pair - n_pair[:, None] * g)
 
 
 def _bosonic_post_splitter(s):
     """Leakage of the coincident-photon state |1,1> after the splitter alone
     equals sin^2(2 theta): 1/2 at theta = pi/8, and at theta = pi/4 the
     transfer out of the logical space is complete, so the qubits exist only
-    stroboscopically across the gate."""
+    stroboscopically across the gate.  The splitter acts on modes 1 and 3."""
     config4 = s.config4
     coincident = dr.prepare_logical(config4, (1, 1))
     for name, theta, target in (
         ("post_splitter_leakage_half_at_eighth_pi", np.pi / 8, 0.5),
         ("post_splitter_full_transfer_at_quarter_pi", np.pi / 4, 1.0),
     ):
-        leak = dr.leakage(dr.beam_splitter(config4, 1, 3, theta) @ coincident,
+        splitter = dr.beam_splitter(s.config2, 1, 2, theta)
+        leak = dr.leakage(apply_on(splitter, (0, 2), _NUM_MODES, coincident),
                           config4, dr.logical_pairs(config4))
         yield name, abs(leak - target)
 
@@ -271,7 +276,7 @@ def run_bosonic(config, structures):
     config2 = dr.FockConfig(2, config.cutoff)
     config4 = dr.FockConfig(_NUM_MODES, config.cutoff)
     return _run(config, "bosonic", structures, config2=config2, config4=config4,
-                frame=dr.dual_rail_frame(config2, 1, 2), csign=dr.csign(config4))
+                frame=dr.dual_rail_frame(config2, 1, 2), csign=dr.csign(config2, 1, 2))
 
 
 # -------------------------------------------------------------- repetition

@@ -14,8 +14,10 @@ input is back in the code space.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -269,13 +271,17 @@ def test_cross_construction_isotypic_block():
 
 
 def test_report_determinism(tmp_path):
+    # pytest's pythonpath setting does not reach a new process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "qubitbench.cli", "--format", "json",
              "--seed", "0", "--out", str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         out.append(path.read_bytes())

@@ -1,5 +1,6 @@
 """Frame verification and operator-algebra structure analysis."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qubitbench import suites
 from qubitbench.collective import collective_ops, noiseless_frame, protected_basis
 from qubitbench.frames import (
     _nullspace,
@@ -34,6 +36,7 @@ from qubitbench.linalg import (
     sigma_z,
 )
 from qubitbench.repetition import error_recovery_words
+from qubitbench.suites import SuiteConfig, run_suite
 
 from linalg_oracles import generated_algebra_dimension_oracle, random_hermitian
 
@@ -127,6 +130,27 @@ def test_verify_frame_flags_observable_leaving_support():
     bad = EncodedQubitFrame(proj, x_leak, y, z, "leaky")
     report = verify_frame(bad)
     assert not report["observables_confined_to_support"] <= TOL
+
+
+@pytest.mark.parametrize("member", ["x", "y", "z"])
+def test_a_nan_member_entry_fails_every_check_that_reads_it(member, monkeypatch):
+    members = {"x": sigma_x.copy(), "y": sigma_y.copy(), "z": sigma_z.copy()}
+    members[member][0, 1] = np.nan
+    report = verify_frame(EncodedQubitFrame(identity(2), label="nan", **members))
+    # every check but the support trace reads X, Y and Z
+    reads_member = EXPECTED_CHECKS[:-1]
+    for name in reads_member:
+        assert math.isnan(report[name]), name
+    assert report["support_trace_even"] == 0.0
+
+    def nan_frame(s):
+        """The Pauli frame with one NaN entry."""
+        yield from report.items()
+
+    monkeypatch.setitem(suites._FAMILIES, "algebra", (nan_frame,))
+    doc = run_suite(SuiteConfig(suite="algebra"))
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        f"algebra/{name}" for name in reads_member]
 
 
 def test_frame_shape_validation():

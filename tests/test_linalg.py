@@ -9,6 +9,7 @@ import pytest
 from qubitbench.linalg import (
     KrausChannel,
     anticommutator,
+    apply_on,
     basis_state,
     child_seed,
     commutator,
@@ -133,6 +134,36 @@ def test_embed_rejects_bad_sites():
             embed(two_site, sites, 4)
     with pytest.raises(ValueError):
         embed(identity(3), (0, 1), 4)  # 3 is not the square of a factor dimension
+
+
+@pytest.mark.parametrize("d,sites", [
+    (3, 2), (2, (0,)), (3, (0, 1)), (3, (1, 0)), (2, (3, 1)), (3, (0, 2)),
+])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_apply_on_equals_the_embedded_product(d, sites, batch):
+    rng = np.random.default_rng(d + 7 * len(batch))
+    k = 1 if isinstance(sites, int) else len(sites)
+    op = rng.standard_normal((d ** k,) * 2) + 1j * rng.standard_normal((d ** k,) * 2)
+    states = (rng.standard_normal(batch + (d ** 4,))
+              + 1j * rng.standard_normal(batch + (d ** 4,)))
+    out = apply_on(op, sites, 4, states)
+    assert out.shape == states.shape
+    full = embed(op, sites, 4)
+    assert max_abs(out - states @ full.T) < 1e-13
+    # on basis kets every image entry is one entry of op, exactly
+    basis = np.eye(d ** 4, dtype=complex)[[0, 5, d ** 4 - 1]]
+    assert np.array_equal(apply_on(op, sites, 4, basis), basis @ full.T)
+    assert np.array_equal(apply_on(op, sites, 4, basis[1]), full @ basis[1])
+
+
+def test_apply_on_rejects_what_embed_rejects():
+    kets = np.ones((2, 16), dtype=complex)
+    for op, sites in [(identity(4), (1, 1)), (identity(4), (0, 4)), (identity(3), (0, 1))]:
+        with pytest.raises(ValueError) as embedded:
+            embed(op, sites, 4)
+        with pytest.raises(ValueError) as applied:
+            apply_on(op, sites, 4, kets)
+        assert str(applied.value) == str(embedded.value)
 
 
 def test_commutator_shape_mismatch_raises():

@@ -15,7 +15,7 @@ import pytest
 
 from qubitbench import dualrail as dr
 from qubitbench import suites
-from qubitbench.linalg import dagger, embed, evolve
+from qubitbench.linalg import dagger, evolve, identity, max_abs
 from qubitbench.suites import SuiteConfig, describe, run_suite
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -113,6 +113,9 @@ def test_bosonic_gates_exponentiate_on_their_two_modes():
     # (cutoff + 1)^2 space of their two modes, as is the one-qubit frame
     assert max(rows["linalg.evolve"]["sizes"]) <= (4 + 1) ** 2
     assert rows["dualrail.csign"]["calls"] == 1
+    # nor are they built on it: the suite applies their two-mode factors
+    assert max(rows["dualrail.csign"]["sizes"]) <= (4 + 1) ** 2
+    assert max(rows["dualrail.beam_splitter"]["sizes"]) <= (4 + 1) ** 2
 
 
 def test_algebra_structures_are_built_once_per_report():
@@ -136,25 +139,49 @@ def test_suite_alone_matches_its_slice_of_all(suite):
     assert alone == [c for c in whole if c["name"].startswith(f"{suite}/")]
 
 
-def csign_checks(config4, gate):
-    s = SimpleNamespace(tol=SuiteConfig().tolerance, config4=config4, csign=gate)
+def csign_checks(cutoff, gate):
+    s = SimpleNamespace(tol=SuiteConfig().tolerance, config2=dr.FockConfig(2, cutoff),
+                        config4=dr.FockConfig(4, cutoff), csign=gate)
     return dict(suites._bosonic_csign(s))
 
 
 def test_csign_family_trips_on_corrupted_gates():
-    config4 = dr.FockConfig(4, 2)
     tol = SuiteConfig().tolerance
-    assert max(csign_checks(config4, dr.csign(config4)).values()) <= tol
     pair = dr.FockConfig(2, 2)
+    assert max(csign_checks(2, dr.csign(pair, 1, 2)).values()) <= tol
     pair_loss = dr.annihilation(pair, 1) @ dr.annihilation(pair, 2)  # a (x) a
     nonconserving = evolve(pair_loss + dagger(pair_loss), 0.3)
     breakers = {
-        "csign_logical_matrix": dr.csign(config4, theta=np.pi / 4 + 0.1),
-        "csign_unitary": 1.01 * dr.csign(config4),
-        "csign_conserves_photon_number": embed(nonconserving, (0, 2), 4),
+        "csign_logical_matrix": dr.csign(pair, 1, 2, theta=np.pi / 4 + 0.1),
+        "csign_unitary": 1.01 * dr.csign(pair, 1, 2),
+        "csign_conserves_photon_number": nonconserving,
     }
     for name, gate in breakers.items():
-        assert csign_checks(config4, gate)[name] > tol, name
+        assert csign_checks(2, gate)[name] > tol, name
+
+
+def dense_csign_deviations(cutoff):
+    """The csign family's deviations computed on the 4-mode register gate."""
+    config4 = dr.FockConfig(4, cutoff)
+    u = dr.csign(config4)
+    logical = [dr.prepare_logical(config4, bits) for bits in suites._TWO_QUBIT_BITS]
+    m = np.array([[np.vdot(a, u @ b) for b in logical] for a in logical])
+    phase = m[0, 0] / abs(m[0, 0])
+    n_total = sum(dr.number(config4, k) for k in range(1, 5))
+    return {
+        "csign_logical_matrix": max_abs(m / phase - np.diag([1.0, 1.0, 1.0, -1.0])),
+        "csign_unitary": max_abs(dagger(u) @ u - identity(config4.dim)),
+        "csign_conserves_photon_number": max_abs(u * n_total - n_total[:, None] * u),
+    }
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_csign_family_on_the_pair_matches_the_dense_register(cutoff):
+    on_pair = csign_checks(cutoff, dr.csign(dr.FockConfig(2, cutoff), 1, 2))
+    dense = dense_csign_deviations(cutoff)
+    assert on_pair.keys() == dense.keys()
+    for name, deviation in dense.items():
+        assert abs(on_pair[name] - deviation) <= 1e-15, name
 
 
 @pytest.mark.parametrize("workload", PINNED)
