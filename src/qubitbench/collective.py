@@ -119,7 +119,8 @@ def no_invariant_state_check():
     for n in (3, 2, 4):
         dim, margin = joint_kernel_dimension(n)
         checks[f"joint_kernel_dim_{n}_spins"] = abs(dim - expected[n])
-        checks[f"kernel_split_margin_{n}_spins"] = max(0.0, MIN_KERNEL_SPLIT - margin)
+        checks[f"kernel_split_margin_{n}_spins"] = float(
+            np.maximum(0.0, MIN_KERNEL_SPLIT - margin))
     return checks
 
 
@@ -267,9 +268,9 @@ def gauge_blocks(flavor):
         b01 = m[0:2, 2:4]
         b10 = m[2:4, 0:2]
         b11 = m[2:4, 2:4]
-        dev = max(dev, max_abs(b01), max_abs(b10), max_abs(b00 - b11))
+        dev = max_abs(dev, b01, b10, b00 - b11)
         blocks.append((b00 + b11) / 2.0)
-    return tuple(blocks), float(dev)
+    return tuple(blocks), dev
 
 
 def pauli_coefficients(op2):
@@ -282,12 +283,7 @@ def pauli_coefficients(op2):
     coeffs = np.array([np.trace(p @ op2) / 2.0 for p in _PAULIS])
     ident = np.trace(op2) / 2.0
     rebuilt = sum(c.real * p for c, p in zip(coeffs, _PAULIS))
-    residual = max(
-        float(np.max(np.abs(coeffs.imag))),
-        abs(complex(ident)),
-        max_abs(op2 - rebuilt),
-    )
-    return coeffs.real, float(residual)
+    return coeffs.real, max_abs(coeffs.imag, ident, op2 - rebuilt)
 
 
 def _collective_unitaries(theta):
@@ -330,18 +326,14 @@ def noiseless_invariance_suite(trials, seed=0):
         frame = noiseless_frame(flavor)
         members = np.stack(frame.observables() + (frame.support,))
 
-        commute_dev = max(
-            max_abs(commutator(o, s))
-            for o in members
-            for s in generators
-        )
-        checks[f"frame_commutes_with_noise_{flavor}"] = commute_dev
+        checks[f"frame_commutes_with_noise_{flavor}"] = max_abs(
+            *(commutator(o, s) for o in members for s in generators))
 
         blocks, block_dev = gauge_blocks(flavor)
         unit_dev = 0.0
         for b in blocks:
             coeffs, residual = pauli_coefficients(2.0 * b)
-            unit_dev = max(unit_dev, residual, abs(float(coeffs @ coeffs) - 1.0))
+            unit_dev = max_abs(unit_dev, residual, coeffs @ coeffs - 1.0)
         checks[f"noise_block_structure_{flavor}"] = block_dev
         checks[f"gauge_action_unit_pauli_{flavor}"] = unit_dev
 
@@ -352,7 +344,7 @@ def noiseless_invariance_suite(trials, seed=0):
                 psi = draws[:, 3:11] + 1j * draws[:, 11:]
                 psi /= np.linalg.norm(psi, axis=1, keepdims=True)
                 phi = (_collective_unitaries(draws[:, :3]) @ psi[:, :, None])[:, :, 0]
-                dev = max(dev, max_abs(expectations(phi, members) - expectations(psi, members)))
+                dev = max_abs(dev, expectations(phi, members) - expectations(psi, members))
             checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
     return checks
 
@@ -423,8 +415,4 @@ def flavor_change_unitary():
         for j in (0, 1):
             block = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
             w[i, j] = np.trace(block) / 2.0
-    residual = max(
-        max_abs(m - kron(w, identity(2))),
-        max_abs(dagger(w) @ w - identity(2)),
-    )
-    return w, float(residual)
+    return w, max_abs(m - kron(w, identity(2)), dagger(w) @ w - identity(2))

@@ -23,6 +23,7 @@ ordering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +98,16 @@ def index_of_occupations(config, occs):
     return index
 
 
+@functools.cache
 def occupation_table(config):
-    """dim x num_modes integer array of occupations, row i for basis index i."""
+    """dim x num_modes integer array of occupations, row i for basis index i.
+
+    Built once per config; the array is shared and read-only.
+    """
     shape = (config.mode_dim,) * config.num_modes
-    grids = np.indices(shape).reshape(config.num_modes, -1)
-    return grids.T
+    table = np.indices(shape).reshape(config.num_modes, -1).T
+    table.setflags(write=False)
+    return table
 
 
 def fock_state(config, occs):

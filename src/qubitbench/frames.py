@@ -3,7 +3,9 @@
 An encoded qubit is specified operationally: a support projector P together
 with Hermitian observables X, Y, Z that reproduce the Pauli relations on the
 range of P.  ``verify_frame`` turns that definition into named deviations,
-one per relation; judging them against a tolerance is left to the caller.
+one per relation, each one ``linalg.max_abs`` over the relation's residuals,
+so a NaN entry of any member reaches every deviation that reads it; judging
+them against a tolerance is left to the caller.
 The commutant and isotypic machinery locates such qubits inside the structure
 that a noise algebra imposes on the state space.
 
@@ -81,12 +83,6 @@ class EncodedQubitFrame:
         return (self.x, self.y, self.z)
 
 
-def _worst(deviations):
-    """The largest of the deviations, NaN if any is NaN (Python's max keeps
-    its first argument when a later one is NaN)."""
-    return float(np.max(list(deviations)))
-
-
 def verify_frame(frame):
     """Named worst entrywise deviations of (P, X, Y, Z) from one qubit's algebra.
 
@@ -98,13 +94,13 @@ def verify_frame(frame):
     p = frame.support
     obs = dict(zip("XYZ", frame.observables()))
 
-    herm = _worst(max_abs(o - dagger(o)) for o in obs.values())
-    comm = _worst(max_abs(commutator(obs[a], obs[b]) - 2j * obs[c])
-                  for a, b, c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")))
-    anti = _worst(max_abs(anticommutator(obs[a], obs[b]) - (2.0 * p if a == b else 0.0))
-                  for a in "XYZ" for b in "XYZ")
-    squares = _worst(max_abs(o @ o - p) for o in obs.values())
-    confined = _worst(max_abs(q - o) for o in obs.values() for q in (p @ o, o @ p))
+    herm = max_abs(*(o - dagger(o) for o in obs.values()))
+    comm = max_abs(*(commutator(obs[a], obs[b]) - 2j * obs[c]
+                     for a, b, c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y"))))
+    anti = max_abs(*(anticommutator(obs[a], obs[b]) - (2.0 * p if a == b else 0.0)
+                     for a in "XYZ" for b in "XYZ"))
+    squares = max_abs(*(o @ o - p for o in obs.values()))
+    confined = max_abs(*(q - o for o in obs.values() for q in (p @ o, o @ p)))
 
     tr = float(np.real(np.trace(p)))
     nearest_even = max(2.0, 2.0 * np.round(tr / 2.0))
@@ -150,7 +146,7 @@ class OperatorAlgebra:
         return out
 
 
-def _nullspace(stacked, rcond=1e-10):
+def _nullspace(stacked):
     """Orthonormal rows spanning the nullspace of stacked.
 
     A tall stack is first reduced to the square R of its QR factorization,
@@ -163,7 +159,7 @@ def _nullspace(stacked, rcond=1e-10):
     if rows > cols:
         stacked = np.linalg.qr(stacked, mode="r")
     _, svals, vh = np.linalg.svd(stacked, full_matrices=rows < cols)
-    cutoff = rcond * max(1.0, svals[0] if len(svals) else 1.0)
+    cutoff = NULLSPACE_RCOND * max(1.0, svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cutoff))
     return vh[rank:].conj()
 
@@ -220,12 +216,18 @@ class IsotypicSummary:
 
 # Eigenvalues of a central element closer than this lie in one component.
 CLUSTER_GAP = 1e-6
+# Relative singular values at most this span the commutant or center nullspace.
+NULLSPACE_RCOND = 1e-10
+# Relative singular values above this count toward the rank of a matrix span.
+SPAN_RCOND = 1e-8
+# A projected candidate word above this relative size is a new algebra direction.
+NEW_DIRECTION_RCOND = 1e-8
 
 
-def _span_rank(matrices, rcond=1e-8):
+def _span_rank(matrices):
     stacked = np.reshape(matrices, (len(matrices), -1))
     svals = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(svals > rcond * max(1.0, svals[0])))
+    return int(np.sum(svals > SPAN_RCOND * max(1.0, svals[0])))
 
 
 def _eigenspaces(v, h):
@@ -286,7 +288,7 @@ def frame_commutes_with(frame, alg):
     G of alg; zero when the frame lies in the commutant."""
     if frame.ambient_dim != alg.ambient_dim:
         raise ValueError("frame and algebra dimensions differ")
-    return max_abs([commutator(o, g) for g in alg.generators for o in frame.observables()])
+    return max_abs(*(commutator(o, g) for g in alg.generators for o in frame.observables()))
 
 
 def expectation(op, state, tol=1e-9):
@@ -308,14 +310,14 @@ def expectation(op, state, tol=1e-9):
     return float(np.real(value))
 
 
-def _new_directions(candidates, basis, rcond=1e-8):
+def _new_directions(candidates, basis):
     """Orthonormal rows spanning what candidates add to the span of the
     orthonormal rows of basis."""
     scale = max(1.0, np.max(np.linalg.norm(candidates, axis=1)))
     for _ in range(2):  # a second pass removes the round-off the first leaves
         candidates = candidates - (candidates @ basis.conj().T) @ basis
     _, svals, vh = np.linalg.svd(candidates, full_matrices=False)
-    return vh[svals > rcond * scale]
+    return vh[svals > NEW_DIRECTION_RCOND * scale]
 
 
 def generated_algebra_dimension(alg, word_length=4, restrict_to=None):

@@ -75,12 +75,18 @@ def dagger(a):
     return np.asarray(a).conj().T
 
 
-def max_abs(a):
-    """Largest entrywise magnitude, the deviation measure used everywhere."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+def max_abs(*parts):
+    """Largest entry magnitude over all parts, the deviation measure used
+    everywhere: every check combines its residuals through this one call.
+
+    Each part is a number or an array of any shape.  The result is NaN if
+    any entry is NaN (numpy's maximum propagates it, where Python's max
+    keeps its first argument), and 0.0 when there are no entries.
+    """
+    # the ufunc's own reduce: np.max adds a dispatch layer on every call
+    largest = np.maximum.reduce
+    return float(largest([largest(np.abs(p), axis=None, initial=0.0) for p in parts],
+                         initial=0.0))
 
 
 def kron(a, b):

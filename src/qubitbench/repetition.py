@@ -291,20 +291,20 @@ def invariance_suite(trials, seed=0):
         ref = expectations(psi, obs)
 
         corrupted = (errors @ psi.T).transpose(2, 0, 1)
-        single_dev = max(single_dev, max_abs(expectations(corrupted, obs) - ref[:, None]))
+        single_dev = max_abs(single_dev, expectations(corrupted, obs) - ref[:, None])
 
         phi = psi.copy()
         rho = psi[:, :, None] * psi[:, None, :].conj()
         for step in range(3):
             word = lengths[:, 0] > step
             phi[word] = (word_steps[letters[word, 0, step]] @ phi[word][:, :, None])[:, :, 0]
-            word_dev = max(word_dev, max_abs(expectations(phi[word], obs) - ref[word]))
+            word_dev = max_abs(word_dev, expectations(phi[word], obs) - ref[word])
 
             cycle = lengths[:, 1] > step
             e = errors[letters[cycle, 1, step]]
             rho[cycle] = channel.apply(e @ rho[cycle] @ e)
-            channel_dev = max(channel_dev, max_abs(
-                (rho[cycle].reshape(-1, DIM * DIM) @ obs_t).real - ref[cycle]))
+            channel_dev = max_abs(
+                channel_dev, (rho[cycle].reshape(-1, DIM * DIM) @ obs_t).real - ref[cycle])
 
     checks = {}
     if trials > 0:

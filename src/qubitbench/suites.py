@@ -6,10 +6,14 @@ over one namespace shared by the suite's run: the configuration, the suite's
 random stream and the heavy inputs the runner builds once.  Its docstring is
 its ``--describe`` text.  The structure of each paper algebra (commutant and
 isotypic blocks) is built at most once per report, on first use, and shared
-by every suite of the report.  ``run_suite`` adds the suite prefix and is the
-one place that judges a deviation against the tolerance.  All randomness is
-derived from the master seed and the suite name, so results do not depend on
-execution order and identical configurations reproduce identical numbers.
+by every suite of the report.  A family measures its residuals with
+``linalg.max_abs``, one call over all the parts of a check (or a running
+``dev = max_abs(dev, residual)`` over trial stacks), so a NaN anywhere
+reaches the check; no family sees the tolerance.  ``run_suite`` adds the
+suite prefix and is the one place that judges a deviation against it.  All
+randomness is derived from the master seed and the suite name, so results do
+not depend on execution order and identical configurations reproduce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ class _Structures(dict):
 def _run(config, suite, structures, **inputs):
     """The suite's (name, deviation) pairs, family by family."""
     s = SimpleNamespace(
-        tol=config.tolerance, seed=config.seed, trials=config.trials,
+        seed=config.seed, trials=config.trials,
         rng=np.random.default_rng(child_seed(config.seed, suite)),
         structures=structures, **inputs,
     )
@@ -140,7 +144,7 @@ def projector_number_identity_deviation():
                 pn = p * n
                 np_ = n * p
                 pnp = pn * p
-                dev = max(dev, max_abs(pn - np_), max_abs(pn - pnp))
+                dev = max_abs(dev, pn - np_, pn - pnp)
     return dev
 
 
@@ -150,10 +154,9 @@ def _bosonic_frame(s):
     hold, and their worst deviation stays within tol at cutoffs 2, 3 and 4."""
     for name, deviation in verify_frame(s.frame).items():
         yield f"frame/{name}", deviation
-    yield "frame_cutoff_independence", max(
-        max(verify_frame(dr.dual_rail_frame(dr.FockConfig(2, c), 1, 2)).values())
-        for c in _CUTOFFS
-    )
+    yield "frame_cutoff_independence", max_abs(
+        *(deviation for c in _CUTOFFS
+          for deviation in verify_frame(dr.dual_rail_frame(dr.FockConfig(2, c), 1, 2)).values()))
 
 
 def _bosonic_projector_number_identity(s):
@@ -211,7 +214,7 @@ def _bosonic_logical_evolution(s):
         times = np.array([t for _, t in draws])
         for h in (s.frame.z, s.frame.x):
             evolved = (evolve(h, times) @ states[:, :, None])[:, :, 0]
-            dev = max(dev, float(np.max(dr.leakage(evolved, config2, [(1, 2)]))))
+            dev = max_abs(dev, dr.leakage(evolved, config2, [(1, 2)]))
     yield "logical_evolution_stays_in_code_space", dev
 
 
@@ -242,10 +245,9 @@ def _bosonic_beam_splitter(s):
 def _bosonic_prepared_states(s):
     """The four prepared two-qubit logical states have zero leakage."""
     config4 = s.config4
-    yield "prepared_states_have_zero_leakage", max(
-        dr.leakage(dr.prepare_logical(config4, bits), config4, dr.logical_pairs(config4))
-        for bits in _TWO_QUBIT_BITS
-    )
+    yield "prepared_states_have_zero_leakage", max_abs(
+        *(dr.leakage(dr.prepare_logical(config4, bits), config4, dr.logical_pairs(config4))
+          for bits in _TWO_QUBIT_BITS))
 
 
 def _bosonic_two_photon_sign_gate(s):
@@ -262,8 +264,8 @@ def _bosonic_photodetection(s):
     config2 = s.config2
     plus = (dr.fock_state(config2, (0, 1)) + dr.fock_state(config2, (1, 0))) / np.sqrt(2.0)
     dist = dr.born_distribution(plus, config2, 1)
-    yield "photodetection_born_probabilities", max(
-        abs(dist[0] - 0.5), abs(dist[1] - 0.5), abs(dist.sum() - 1.0))
+    yield "photodetection_born_probabilities", max_abs(
+        dist[0] - 0.5, dist[1] - 0.5, dist.sum() - 1.0)
 
     det_seed = child_seed(s.seed, "bosonic-detect")
     out1 = dr.photodetect(plus, config2, 1, det_seed)
@@ -293,17 +295,15 @@ def _repetition_code(s):
     """encode(c0, c1) = c0 |000> + c1 |111>; the errors {1, X1, X2, X3} are
     Hermitian involutions; the syndrome bits, read off the anticommutation
     pattern with Z1 Z2 and Z2 Z3, match the static table."""
-    yield "encoding_examples", max(
-        max_abs(rep.encode(1.0, 0.0) - basis_state(8, 0)),
-        max_abs(rep.encode(0.0, 1.0) - basis_state(8, 7)),
-        max_abs(rep.encode(1 / np.sqrt(2), 1 / np.sqrt(2))
-                - (basis_state(8, 0) + basis_state(8, 7)) / np.sqrt(2)),
+    yield "encoding_examples", max_abs(
+        rep.encode(1.0, 0.0) - basis_state(8, 0),
+        rep.encode(0.0, 1.0) - basis_state(8, 7),
+        rep.encode(1 / np.sqrt(2), 1 / np.sqrt(2))
+        - (basis_state(8, 0) + basis_state(8, 7)) / np.sqrt(2),
     )
-    yield "errors_are_hermitian_involutions", max(
-        max(max_abs(rep.error_operator(a) @ rep.error_operator(a) - identity(8)),
-            max_abs(rep.error_operator(a) - dagger(rep.error_operator(a))))
-        for a in range(4)
-    )
+    yield "errors_are_hermitian_involutions", max_abs(
+        *(residual for e in map(rep.error_operator, range(4))
+          for residual in (e @ e - identity(8), e - dagger(e))))
     matches = all(rep.syndrome_from_commutation(a) == rep.syndrome_of(a) for a in range(4))
     yield "syndrome_table_matches_commutation", 0.0 if matches else 1.0
 
@@ -323,12 +323,10 @@ def _repetition_recovery(s):
             amps = [np.vdot(l, w @ l) for l in logicals]
             cross = np.vdot(logicals[0], w @ logicals[1])
             if a == b:
-                match_dev = max(match_dev, abs(abs(amps[0]) - 1.0),
-                                abs(amps[0] - amps[1]), abs(cross))
-                for l, amp in zip(logicals, amps):
-                    match_dev = max(match_dev, max_abs(w @ l - amp * l))
+                match_dev = max_abs(match_dev, abs(amps[0]) - 1.0, amps[0] - amps[1], cross,
+                                    *(w @ l - amp * l for l, amp in zip(logicals, amps)))
             else:
-                mismatch_dev = max(mismatch_dev, *(max_abs(w @ l) for l in logicals))
+                mismatch_dev = max_abs(mismatch_dev, *(w @ l for l in logicals))
     yield "matched_recovery_is_identity_on_code", match_dev
     yield "mismatched_recovery_annihilates_code", mismatch_dev
 
@@ -339,10 +337,9 @@ def _repetition_error_basis_iso(s):
     syndrome factor to |e_0>."""
     iso_q = s.iso_q
     yield "error_basis_iso_unitary", max_abs(dagger(iso_q.unitary) @ iso_q.unitary - identity(8))
-    yield "error_basis_iso_vector_mapping", max(
-        max_abs(iso_q.apply(rep.code_vector(a, i)) - basis_state(8, 4 * i + a))
-        for a in range(4) for i in (0, 1)
-    )
+    yield "error_basis_iso_vector_mapping", max_abs(
+        *(iso_q.apply(rep.code_vector(a, i)) - basis_state(8, 4 * i + a)
+          for a in range(4) for i in (0, 1)))
 
     errors = np.stack([rep.error_operator(a) for a in range(4)])
     dev = 0.0
@@ -354,14 +351,13 @@ def _repetition_error_basis_iso(s):
         phi = (corrupted @ iso_q.unitary.T).reshape(n, 4, 2, 4)
         rho_q = phi @ phi.conj().swapaxes(-1, -2)
         fidelity = np.einsum("ni,naik,nk->na", c.conj(), rho_q, c).real
-        dev = max(dev, max_abs(1.0 - fidelity))
+        dev = max_abs(dev, 1.0 - fidelity)
     yield "errors_leave_qubit_factor_untouched", dev
 
-    yield "recovery_resets_syndrome_factor", max(
-        max_abs(iso_q.conjugate(s.channel.ops[a])
-                - kron(identity(2), np.outer(basis_state(4, 0), basis_state(4, a).conj())))
-        for a in range(4)
-    )
+    yield "recovery_resets_syndrome_factor", max_abs(
+        *(iso_q.conjugate(s.channel.ops[a])
+          - kron(identity(2), np.outer(basis_state(4, 0), basis_state(4, a).conj()))
+          for a in range(4)))
 
 
 def _repetition_stabilizer_iso(s):
@@ -369,10 +365,10 @@ def _repetition_stabilizer_iso(s):
     flip, but the first error flips this qubit label too, so the label is
     not protected (X1 is at spectral distance 1 from every 1 (x) G)."""
     iso_qp = s.iso_qp
-    yield "stabilizer_iso_label_examples", max(
-        max_abs(iso_qp.apply(basis_state(8, abc)) - kron(basis_state(2, l), basis_state(4, m)))
-        for abc, l, m in ((0b000, 0, 0b00), (0b100, 1, 0b10), (0b011, 0, 0b10), (0b111, 1, 0b00))
-    )
+    yield "stabilizer_iso_label_examples", max_abs(
+        *(iso_qp.apply(basis_state(8, abc)) - kron(basis_state(2, l), basis_state(4, m))
+          for abc, l, m in ((0b000, 0, 0b00), (0b100, 1, 0b10), (0b011, 0, 0b10),
+                            (0b111, 1, 0b00))))
 
     c = _random_amplitudes(s.rng)
     flipped = iso_qp.apply(rep.error_operator(1) @ rep.encode(c[0], c[1]))
@@ -435,10 +431,10 @@ def _collective_total_spin(s):
     spin-3/2 (dim 4) and two spin-1/2 routes (dim 2 each); |000> has
     S_z = 3/2."""
     sx, sy, sz = s.generators
-    yield "angular_momentum_closure", max(
-        max_abs(commutator(sx, sy) - 1j * sz),
-        max_abs(commutator(sy, sz) - 1j * sx),
-        max_abs(commutator(sz, sx) - 1j * sy),
+    yield "angular_momentum_closure", max_abs(
+        commutator(sx, sy) - 1j * sz,
+        commutator(sy, sz) - 1j * sx,
+        commutator(sz, sx) - 1j * sy,
     )
     eigs = np.sort(np.linalg.eigvalsh(s.s2))
     yield "casimir_multiplicities", max_abs(eigs - np.array([0.75] * 4 + [3.75] * 4))
@@ -457,8 +453,8 @@ def _collective_scalars(s):
     """The rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j commute with
     every S_alpha; s12 is -3 on the pair singlet and +1 on the triplet."""
     s12, s23, s31 = col.scalars()
-    yield "scalars_commute_with_generators", max(
-        max_abs(commutator(sc, g)) for sc in (s12, s23, s31) for g in s.generators)
+    yield "scalars_commute_with_generators", max_abs(
+        *(commutator(sc, g) for sc in (s12, s23, s31) for g in s.generators))
     singlet = (basis_state(8, 0b010) - basis_state(8, 0b100)) / np.sqrt(2.0)
     yield "pair_singlet_scalar_eigenvalue", max_abs(s12 @ singlet + 3.0 * singlet)
     aligned = basis_state(8, 0)
@@ -474,10 +470,8 @@ def _collective_protected_basis(s):
     for flavor in col.FLAVORS:
         v = col.protected_basis(flavor).vectors
         yield f"protected_basis_orthonormal_{flavor}", max_abs(dagger(v) @ v - identity(4))
-        yield f"protected_basis_quantum_numbers_{flavor}", max(
-            max_abs(s.s2 @ v - 0.75 * v),
-            max_abs(sz @ v - v @ np.diag([0.5, -0.5, 0.5, -0.5])),
-        )
+        yield f"protected_basis_quantum_numbers_{flavor}", max_abs(
+            s.s2 @ v - 0.75 * v, sz @ v - v @ np.diag([0.5, -0.5, 0.5, -0.5]))
         for name, deviation in verify_frame(s.frames[flavor]).items():
             yield f"frame_{flavor}/{name}", deviation
 
@@ -493,9 +487,9 @@ def _collective_scalar_frame(s):
     yield "z_is_antisymmetric_triple_product", max_abs(
         om.z - (np.sqrt(3.0) / 6.0) * col.antisymmetric_product())
     basis = col.protected_basis("omega")
-    yield "swap_exchanges_route_labels", max(
-        max_abs(om.x @ basis.vector(0, +0.5) - basis.vector(1, +0.5)),
-        max_abs(om.x @ basis.vector(1, -0.5) - basis.vector(0, -0.5)),
+    yield "swap_exchanges_route_labels", max_abs(
+        om.x @ basis.vector(0, +0.5) - basis.vector(1, +0.5),
+        om.x @ basis.vector(1, -0.5) - basis.vector(0, -0.5),
     )
 
 
@@ -526,9 +520,9 @@ def _collective_purity(s):
                       np.diag([1.0, 0.0]).astype(complex),
                       np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)):
             psi_q = random_haar_state(2, s.rng)
-            dev = max(dev, abs(col.purity_of_protected_qubit(psi_q, rho_g, flavor) - 1.0))
+            qubit_purity = col.purity_of_protected_qubit(psi_q, rho_g, flavor)
             gauge_purity = col.purity_of_protected_qubit(psi_q, rho_g, flavor, factor="gauge")
-            dev = max(dev, abs(gauge_purity - np.trace(rho_g @ rho_g).real))
+            dev = max_abs(dev, qubit_purity - 1.0, gauge_purity - np.trace(rho_g @ rho_g).real)
     yield "protected_qubit_stays_pure", dev
 
 
@@ -537,19 +531,15 @@ def _collective_exchange_sector(s):
     exchange-only control (they commute with S_z) but not collectively
     protected (some [O, S_x] reaches 0.1)."""
     sx, _, sz = s.generators
-    sector_dev = 0.0
-    commute_sz = 0.0
-    break_margin = np.inf
-    for frame in col.exchange_sector_frames("omega"):
-        sector_dev = max(sector_dev, *verify_frame(frame).values(),
-                         abs(np.trace(frame.support).real - 2.0))
-        commute_sz = max(commute_sz,
-                         max(max_abs(commutator(o, sz)) for o in frame.observables()))
-        break_margin = min(break_margin,
-                           max(max_abs(commutator(o, sx)) for o in frame.observables()))
-    yield "exchange_sector_frames_valid", sector_dev
-    yield "exchange_sector_commutes_with_sz", commute_sz
-    yield "exchange_sector_not_collectively_protected", max(0.0, 0.1 - break_margin)
+    frames = col.exchange_sector_frames("omega")
+    yield "exchange_sector_frames_valid", max_abs(
+        *(residual for frame in frames
+          for residual in (*verify_frame(frame).values(), np.trace(frame.support).real - 2.0)))
+    yield "exchange_sector_commutes_with_sz", max_abs(
+        *(commutator(o, sz) for frame in frames for o in frame.observables()))
+    breaks = [max_abs(*(commutator(o, sx) for o in frame.observables())) for frame in frames]
+    yield "exchange_sector_not_collectively_protected", float(
+        np.maximum(0.0, 0.1 - np.min(breaks)))
 
 
 def _collective_flavor_change(s):
@@ -566,7 +556,7 @@ def _collective_generated_algebra(s):
         alg = OperatorAlgebra(frame.observables() + (frame.support,), label=f"frame_{flavor}")
         dim = generated_algebra_dimension(
             alg, word_length=2, restrict_to=col.protected_basis(flavor).vectors)
-        dev = max(dev, abs(dim - 4))
+        dev = max_abs(dev, dim - 4)
     yield "frame_generates_full_qubit_algebra", dev
 
 
@@ -581,14 +571,17 @@ def run_collective(config, structures):
 
 def _algebra_abstract_qubit(s):
     """P = 1 with X, Y, Z the Pauli matrices passes every frame axiom;
-    halving Y breaks {A, B} = 2 delta_AB P, and the break is caught."""
+    halving Y breaks {A, B} = 2 delta_AB P, and the break is caught: the
+    check reads how far the broken frame's anticommutator deviation is from
+    the exact 1.5 by which {Y/2, Y/2} = P/2 misses 2P."""
     abstract = EncodedQubitFrame(
         support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z, label="abstract_qubit")
-    yield "abstract_qubit_frame_passes", max(verify_frame(abstract).values())
+    yield "abstract_qubit_frame_passes", max_abs(*verify_frame(abstract).values())
     broken = EncodedQubitFrame(
         support=identity(2), x=sigma_x, y=sigma_y / 2.0, z=sigma_z, label="broken_qubit")
-    detected = not (verify_frame(broken)["pairwise_anticommutators"] <= s.tol)
-    yield "detects_broken_normalization", 0.0 if detected else 1.0
+    # {Y/2, Y/2} = P/2 misses 2P by exactly 1.5
+    yield "detects_broken_normalization", abs(
+        verify_frame(broken)["pairwise_anticommutators"] - 1.5)
 
 
 def _algebra_commutant(s):
@@ -596,12 +589,12 @@ def _algebra_commutant(s):
     and adjoints, is the scalars for the Pauli matrices and all of M_2 for
     the identity."""
     basis = s.structures["pauli"].commutant
-    dev = abs(len(basis) - 1)
+    residuals = [len(basis) - 1]
     if len(basis) == 1:
         b = basis[0]
         scaled = b / b[0, 0] if abs(b[0, 0]) > 0 else b
-        dev = max(dev, max_abs(scaled - identity(2)))
-    yield "irreducible_commutant_is_scalars", dev
+        residuals.append(scaled - identity(2))
+    yield "irreducible_commutant_is_scalars", max_abs(*residuals)
     trivial = OperatorAlgebra((identity(2),), label="trivial")
     yield "identity_generators_have_full_commutant", abs(len(commutant_basis(trivial)) - 4)
 
@@ -617,10 +610,8 @@ def _algebra_commutant_members(s):
     """Every commutant member of the collective-noise algebra commutes with
     each generator and adjoint."""
     noise = s.structures["collective_noise"]
-    yield "commutant_members_commute", max(
-        max(max_abs(commutator(m, g)) for g in noise.algebra.with_adjoints())
-        for m in noise.commutant
-    )
+    yield "commutant_members_commute", max_abs(
+        *(commutator(m, g) for m in noise.commutant for g in noise.algebra.with_adjoints()))
 
 
 def _algebra_bicommutant(s):
@@ -634,7 +625,7 @@ def _algebra_bicommutant(s):
         )
         span = generated_algebra_dimension(structure.algebra, word_length=4)
         yield (f"bicommutant_matches_generated_{label}",
-               max(abs(len(bicomm) - expected), abs(span - expected)))
+               max_abs(len(bicomm) - expected, span - expected))
 
 
 def _hermitian_split(matrices):
@@ -656,18 +647,18 @@ def _algebra_isotypic_determinism(s):
 
 def _algebra_expectation(s):
     """<0|Z|0> = 1 and <0|X|0> = 0."""
-    yield "expectation_examples", max(
-        abs(expectation(sigma_z, basis_state(2, 0)) - 1.0),
-        abs(expectation(sigma_x, basis_state(2, 0)) - 0.0),
+    yield "expectation_examples", max_abs(
+        expectation(sigma_z, basis_state(2, 0)) - 1.0,
+        expectation(sigma_x, basis_state(2, 0)) - 0.0,
     )
 
 
 def _algebra_protected_frame(s):
     """The error-built repetition frame commutes with every error-recovery
-    word E_b R_a."""
+    word E_b R_a: the worst entry of [O, E_b R_a] over the frame observables
+    and the sixteen words."""
     words = s.structures["error_recovery_words"].algebra
-    ok = frame_commutes_with(rep.frame_from_errors(), words) <= s.tol
-    yield "protected_frame_in_noise_commutant", 0.0 if ok else 1.0
+    yield "protected_frame_in_noise_commutant", frame_commutes_with(rep.frame_from_errors(), words)
 
 
 def run_algebra(config, structures):

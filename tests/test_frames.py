@@ -181,7 +181,7 @@ def planted_singular_values(rng, rows, cols, tail):
                          ids=["tall-stack", "tall", "square", "wide"])
 def test_nullspace_matches_direct_svd(rows, cols):
     # 1e-9 and 1e-11 relative to the largest singular value lie on either
-    # side of rcond = 1e-10: the first is kept, the second joins the zeros
+    # side of NULLSPACE_RCOND = 1e-10: the first is kept, the second joins the zeros
     rng = np.random.default_rng(rows * cols)
     a = planted_singular_values(rng, rows, cols, [2e-9, 2e-11, 0.0, 0.0])
     _, svals, vh = np.linalg.svd(a)  # full: vh is a complete basis for any shape

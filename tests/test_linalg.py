@@ -2,9 +2,12 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitbench.linalg import (
     KrausChannel,
@@ -75,7 +78,32 @@ def test_basis_state_and_density():
 def test_max_abs_is_largest_entry_magnitude():
     a = np.array([[0.1, -0.5j], [0.25 + 0.25j, 0.0]])
     assert max_abs(a) == pytest.approx(0.5)
+    # no parts and empty arrays have no entries
+    assert max_abs() == 0.0
     assert max_abs(np.zeros((0, 0))) == 0.0
+    assert max_abs(np.zeros(0), np.zeros((3, 0))) == 0.0
+    # parts of mixed shapes are measured together
+    parts = (0.5, np.array([-0.25, 2j]), np.full((2, 3), -1.5), np.zeros(0))
+    assert max_abs(*parts) == 2.0
+    assert max_abs(*parts[:1], *parts[2:]) == 1.5
+    # ints are accepted, and the measure is a float
+    assert max_abs(3, -7, np.array([1, -2])) == 7.0
+    assert isinstance(max_abs(-7), float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 4), max_size=3), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1), complex_parts=st.booleans(), data=st.data())
+def test_max_abs_is_nan_when_any_part_holds_one(shapes, seed, complex_parts, data):
+    # Python's max(0.0, nan) is 0.0: a NaN must survive wherever it sits
+    rng = np.random.default_rng(seed)
+    raveled = [rng.standard_normal(math.prod(shape)) * (1 - 0.5j if complex_parts else 1.0)
+               for shape in shapes]
+    parts = [r.reshape(shape) for r, shape in zip(raveled, shapes)]  # views of raveled
+    assert max_abs(*parts) == np.max(np.abs(np.concatenate(raveled)))
+    part = data.draw(st.integers(0, len(parts) - 1))
+    raveled[part][data.draw(st.integers(0, raveled[part].size - 1))] = np.nan
+    assert np.isnan(max_abs(*parts))
 
 
 def test_kron_matches_numpy():

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qubitbench import collective as col
 from qubitbench import dualrail as dr
 from qubitbench import suites
 from qubitbench.linalg import dagger, evolve, identity, max_abs
@@ -190,7 +191,7 @@ def test_tolerance_only_moves_pass_flags(workload):
         return run_suite(dataclasses.replace(workload_config(workload, 0), tolerance=tol))
 
     base = report(1e-9)
-    for tol in (1e-3, 1e-15):
+    for tol in (1e-3, 1e-15, 2.0):
         doc = report(tol)
         assert doc.keys() == base.keys()
         assert doc["suite"] == base["suite"]
@@ -216,3 +217,55 @@ def test_a_deviation_at_the_tolerance_passes_and_nan_fails(monkeypatch):
     assert doc["checks"][0]["max_deviation"] == tol
     assert math.isnan(doc["checks"][1]["max_deviation"])
     assert not doc["all_pass"]
+
+
+def with_nan(matrix):
+    """A copy of matrix with one NaN entry."""
+    out = matrix.copy()
+    out[3, 5] = np.nan
+    return out
+
+
+def test_a_nan_exchange_sector_entry_fails_all_three_sector_checks(monkeypatch):
+    first, second = col.exchange_sector_frames("omega")
+    nan_frames = (first, dataclasses.replace(second, x=with_nan(second.x)))
+    monkeypatch.setattr(col, "exchange_sector_frames", lambda flavor="omega": nan_frames)
+    doc = run_suite(SuiteConfig(suite="collective", trials=0))
+    sector = [c for c in doc["checks"] if c["name"].startswith("collective/exchange_sector_")]
+    assert len(sector) == 3
+    assert all(math.isnan(c["max_deviation"]) and not c["pass"] for c in sector)
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [c["name"] for c in sector]
+
+
+@pytest.mark.parametrize("member", ["support", "x", "y", "z"])
+@pytest.mark.parametrize("flavor", col.FLAVORS)
+def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
+        flavor, member, monkeypatch):
+    exact = col.noiseless_frame
+
+    def noiseless_frame(f):
+        frame = exact(f)
+        if f != flavor:
+            return frame
+        return dataclasses.replace(frame, **{member: with_nan(getattr(frame, member))})
+
+    monkeypatch.setattr(col, "noiseless_frame", noiseless_frame)
+    # only the invariance family: the generated-algebra family's SVD raises
+    # LinAlgError on a NaN frame before any check is judged
+    monkeypatch.setitem(suites._FAMILIES, "collective", (suites._collective_invariance,))
+    doc = run_suite(SuiteConfig(suite="collective"))
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == [
+        f"collective/frame_commutes_with_noise_{flavor}",
+        f"collective/collective_unitary_expectation_invariance_{flavor}"]
+    assert all(math.isnan(c["max_deviation"]) for c in failed)
+
+
+def test_a_nan_kernel_margin_fails_the_margin_checks(monkeypatch):
+    exact = col.joint_kernel_dimension
+    monkeypatch.setattr(col, "joint_kernel_dimension", lambda n: (exact(n)[0], float("nan")))
+    doc = run_suite(SuiteConfig(suite="collective", trials=0))
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == [
+        f"collective/kernel_split_margin_{n}_spins" for n in (3, 2, 4)]
+    assert all(math.isnan(c["max_deviation"]) for c in failed)
