@@ -141,8 +141,6 @@ class ProtectedBasis:
     flavor: str
     vectors: np.ndarray  # 8 x 4, columns as above
 
-    labels = ((0, +0.5), (0, -0.5), (1, +0.5), (1, -0.5))
-
     def vector(self, route, sz):
         col = {(0, +0.5): 0, (0, -0.5): 1, (1, +0.5): 2, (1, -0.5): 3}[(route, sz)]
         return self.vectors[:, col]
@@ -410,9 +408,5 @@ def flavor_change_unitary():
     v_om = protected_basis("omega").vectors
     v_st = protected_basis("singlet_triplet").vectors
     m = dagger(v_om) @ v_st  # 4x4, blocks indexed by route
-    w = np.zeros((2, 2), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            block = m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            w[i, j] = np.trace(block) / 2.0
+    w = partial_trace(m, (2, 2), {0}) / 2.0
     return w, max_abs(m - kron(w, identity(2)), dagger(w) @ w - identity(2))

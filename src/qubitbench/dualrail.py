@@ -3,7 +3,8 @@
 A register of 2n modes, each truncated at a fixed maximum occupation, hosts n
 qubits through the pairing (k, k+1): logical |0> puts the single boson in the
 second mode of the pair, logical |1> in the first.  The module builds ladder
-operators, the unit-excitation projectors, the encoded observables, and the
+operators, the unit-excitation projectors, the encoded observables (the
+frame of the isometry onto a pair's unit-excitation sector), and the
 linear-optics gates (phase shifter, beam splitter, the sign-on-two-photons
 gate, and their conditional-sign composition), plus leakage bookkeeping and
 destructive photodetection.  Diagonal operators (occupation numbers, pair
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import EncodedQubitFrame
-from .linalg import dagger, embed, evolve
+from .frames import frame_from_isometry
+from .linalg import dagger, embed, evolve, identity
 
 __all__ = [
     "FockConfig",
@@ -153,19 +154,20 @@ def dual_rail_projector(config, k, kp):
 def dual_rail_frame(config, k, kp):
     """Encoded observables of the qubit carried by modes (k, kp).
 
-    Z = (n_kp - n_k) P, X = (a_k^dag a_kp + a_k a_kp^dag) P, Y = -i Z X, with
-    P the unit-excitation projector of the pair.  All three conserve the
-    joint occupation of the pair, so the frame is exact at any cutoff.
-    P and Z are diagonal, so products with them scale rows or columns.
+    The frame of the isometry V onto the unit-excitation sector of the pair.
+    Its columns are the basis states with n_k + n_kp = 1, first those with
+    n_k = 0 (logical 0), then those with n_k = 1 (logical 1), each set in
+    basis order, so column j of both sets has the same occupations of the
+    other modes, the gauge factor.  Hence Z = (n_kp - n_k) P and
+    X = (a_k^dag a_kp + a_k a_kp^dag) P, with P the unit-excitation
+    projector of the pair.  All three observables conserve the joint
+    occupation of the pair, so the frame is exact at any cutoff.
     """
-    p = dual_rail_projector(config, k, kp)
-    z = (number(config, kp) - number(config, k)) * p
-    hop = creation(config, k) @ annihilation(config, kp)
-    x = (hop + dagger(hop)) * p
-    y = -1j * (z[:, None] * x)
-    return EncodedQubitFrame(
-        support=np.diag(p), x=x, y=y, z=np.diag(z), label=f"dual_rail(modes {k},{kp})"
-    )
+    sector = dual_rail_projector(config, k, kp) == 1.0
+    n_k = occupation_table(config)[:, k - 1]
+    cols = np.concatenate([np.flatnonzero(sector & (n_k == 0)),
+                           np.flatnonzero(sector & (n_k == 1))])
+    return frame_from_isometry(identity(config.dim)[:, cols], f"dual_rail(modes {k},{kp})")
 
 
 def phase_shifter(config, k, phi):

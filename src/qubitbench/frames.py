@@ -2,10 +2,13 @@
 
 An encoded qubit is specified operationally: a support projector P together
 with Hermitian observables X, Y, Z that reproduce the Pauli relations on the
-range of P.  ``verify_frame`` turns that definition into named deviations,
-one per relation, each one ``linalg.max_abs`` over the relation's residuals,
-so a NaN entry of any member reaches every deviation that reads it; judging
-them against a tolerance is left to the caller.
+range of P.  ``frame_from_isometry`` builds one from an isometry V onto a
+subsystem C^2 (x) C^m of the physical space: P = V V^dag and each
+observable is V (sigma (x) 1_m) V^dag.  ``verify_frame`` turns the
+definition into named deviations, one per relation, each one
+``linalg.max_abs`` over the relation's residuals, so a NaN entry of any
+member reaches every deviation that reads it; judging them against a
+tolerance is left to the caller.
 The commutant and isotypic machinery locates such qubits inside the structure
 that a noise algebra imposes on the state space.
 
@@ -36,11 +39,16 @@ from .linalg import (
     anticommutator,
     dagger,
     identity,
+    kron,
     max_abs,
+    sigma_x,
+    sigma_y,
+    sigma_z,
 )
 
 __all__ = [
     "EncodedQubitFrame",
+    "frame_from_isometry",
     "OperatorAlgebra",
     "IsotypicSummary",
     "AlgebraStructure",
@@ -81,6 +89,19 @@ class EncodedQubitFrame:
 
     def observables(self):
         return (self.x, self.y, self.z)
+
+
+def frame_from_isometry(v, label):
+    """Frame of the qubit factor of the isometry v: P = V V^dag and
+    O = V (sigma (x) 1_m) V^dag for sigma in X, Y, Z.
+
+    v has 2m orthonormal columns; column m i + j is the image of
+    |i> (x) |j>, qubit index major and gauge index minor.
+    """
+    v = np.asarray(v, dtype=complex)
+    gauge = identity(v.shape[1] // 2)
+    x, y, z = (v @ kron(s, gauge) @ dagger(v) for s in (sigma_x, sigma_y, sigma_z))
+    return EncodedQubitFrame(support=v @ dagger(v), x=x, y=y, z=z, label=label)
 
 
 def verify_frame(frame):
@@ -328,8 +349,12 @@ def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
     multiplies only the directions the previous one added, so a step costs
     at most n^2 products per generator.  restrict_to, if given, is an
     isometry whose columns frame the subspace on which the span is measured.
+    A generator with a non-finite entry gives NaN, before any SVD can fail
+    on it.
     """
     gens = np.array(alg.with_adjoints())
+    if not np.isfinite(gens).all():
+        return math.nan
     n = alg.ambient_dim
     basis = identity(n).reshape(1, -1) / np.sqrt(n)
     new = basis

@@ -5,22 +5,22 @@ E = {1, X1, X2, X3}.  Beyond the standard recovery channel, the module
 exposes the two tensor factorizations of the eight-dimensional space: the
 error-adapted one, in which every error acts trivially on the qubit factor,
 and the stabilizer-eigenvalue one, in which the qubit label is flipped by
-the first error.  Observables built by conjugating the code observables with
-all four errors give a frame whose support is the whole space.
+the first error.  The error-adapted factorization is the code isometry V
+with columns E_a |i_L>: its frame, through ``frames.frame_from_isometry``,
+has the whole space as support, and V^dag is the error-basis map.
 """
 
 from __future__ import annotations
 
 import functools
 import types
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import (
-    EncodedQubitFrame,
     OperatorAlgebra,
     frame_commutes_with,
+    frame_from_isometry,
 )
 from .linalg import (
     KrausChannel,
@@ -51,7 +51,6 @@ __all__ = [
     "stabilizer_generators",
     "code_vector",
     "recovery_channel",
-    "SubsystemIso",
     "subsystem_iso_Q",
     "subsystem_iso_Qprime",
     "frame_from_errors",
@@ -157,31 +156,23 @@ def _recovery_channel():
     return KrausChannel(tuple(ops))
 
 
-@dataclass(frozen=True)
-class SubsystemIso:
-    """Unitary relabeling of the physical space as qubit (x) syndrome."""
-
-    unitary: np.ndarray
-    syndrome_labels: tuple
-
-    def apply(self, state):
-        return self.unitary @ np.asarray(state, dtype=complex)
-
-    def conjugate(self, op):
-        return self.unitary @ np.asarray(op, dtype=complex) @ dagger(self.unitary)
+@functools.cache
+def _code_isometry():
+    # column 4 i + a is |v_a^i>: qubit index major, error index minor;
+    # shared and read-only
+    v = np.stack([code_vector(a, i) for i in (0, 1) for a in range(4)], axis=1)
+    v.setflags(write=False)
+    return v
 
 
 def subsystem_iso_Q():
-    """|v_a^i> -> |i> (x) |e_a>, syndrome basis ordered by the static table.
+    """|v_a^i> -> |i> (x) |e_a>, syndrome basis ordered by the static table:
+    V^dag of the code isometry.
 
     Under this map every error leaves the qubit factor untouched and only
     relabels the syndrome factor.
     """
-    u = np.zeros((DIM, DIM), dtype=complex)
-    for i in (0, 1):
-        for a in range(4):
-            u += np.outer(basis_state(DIM, 4 * i + a), code_vector(a, i).conj())
-    return SubsystemIso(unitary=u, syndrome_labels=SYNDROME_TABLE)
+    return dagger(_code_isometry())
 
 
 def subsystem_iso_Qprime():
@@ -192,42 +183,25 @@ def subsystem_iso_Qprime():
     by requiring the global flip X1X2X3 to act as a positive-real qubit flip.
     """
     u = np.zeros((DIM, DIM), dtype=complex)
-    labels = ("00", "01", "10", "11")
     for idx in range(DIM):
         a = (idx >> 2) & 1
         b = (idx >> 1) & 1
         c = idx & 1
         l, m1, m2 = a, a ^ b, b ^ c
         u[4 * l + 2 * m1 + m2, idx] = 1.0
-    return SubsystemIso(unitary=u, syndrome_labels=labels)
-
-
-def code_observables():
-    z_c = density(logical_zero()) - density(logical_one())
-    x_c = np.outer(logical_zero(), logical_one().conj())
-    x_c = x_c + dagger(x_c)
-    return x_c, z_c
+    return u
 
 
 @functools.cache
 def frame_from_errors():
-    """Frame with full support: O_q = sum_a E_a O_C E_a, Y = -i Z X.
+    """Frame of the code isometry V: O_q = V (sigma (x) 1_4) V^dag, which is
+    sum_a E_a O_C E_a for the code observable O_C, with support V V^dag = 1.
 
     The four conjugated copies act on orthogonal error sectors, so the sums
     square to the identity and inherit the Pauli relations exactly.  The
     frame is shared and its arrays are read-only.
     """
-    x_c, z_c = code_observables()
-    x_q = np.zeros((DIM, DIM), dtype=complex)
-    z_q = np.zeros((DIM, DIM), dtype=complex)
-    for a in range(4):
-        e = error_operator(a)
-        x_q += e @ x_c @ e
-        z_q += e @ z_c @ e
-    y_q = -1j * (z_q @ x_q)
-    frame = EncodedQubitFrame(
-        support=identity(DIM), x=x_q, y=y_q, z=z_q, label="repetition_errors"
-    )
+    frame = frame_from_isometry(_code_isometry(), "repetition_errors")
     for member in (frame.support,) + frame.observables():
         member.setflags(write=False)
     return frame

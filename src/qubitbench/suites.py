@@ -49,6 +49,7 @@ from .linalg import (
     identity,
     kron,
     max_abs,
+    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
@@ -336,9 +337,9 @@ def _repetition_error_basis_iso(s):
     untouched (max(1, trials // 10) random states) and recovery resets the
     syndrome factor to |e_0>."""
     iso_q = s.iso_q
-    yield "error_basis_iso_unitary", max_abs(dagger(iso_q.unitary) @ iso_q.unitary - identity(8))
+    yield "error_basis_iso_unitary", max_abs(dagger(iso_q) @ iso_q - identity(8))
     yield "error_basis_iso_vector_mapping", max_abs(
-        *(iso_q.apply(rep.code_vector(a, i)) - basis_state(8, 4 * i + a)
+        *(iso_q @ rep.code_vector(a, i) - basis_state(8, 4 * i + a)
           for a in range(4) for i in (0, 1)))
 
     errors = np.stack([rep.error_operator(a) for a in range(4)])
@@ -348,14 +349,14 @@ def _repetition_error_basis_iso(s):
         corrupted = (errors @ rep.encode(c[:, 0], c[:, 1]).T).transpose(2, 0, 1)
         # qubit (x) syndrome amplitudes of each corrupted state; the qubit
         # factor's reduced operator is phi phi^dag over the syndrome index
-        phi = (corrupted @ iso_q.unitary.T).reshape(n, 4, 2, 4)
+        phi = (corrupted @ iso_q.T).reshape(n, 4, 2, 4)
         rho_q = phi @ phi.conj().swapaxes(-1, -2)
         fidelity = np.einsum("ni,naik,nk->na", c.conj(), rho_q, c).real
         dev = max_abs(dev, 1.0 - fidelity)
     yield "errors_leave_qubit_factor_untouched", dev
 
     yield "recovery_resets_syndrome_factor", max_abs(
-        *(iso_q.conjugate(s.channel.ops[a])
+        *(iso_q @ s.channel.ops[a] @ dagger(iso_q)
           - kron(identity(2), np.outer(basis_state(4, 0), basis_state(4, a).conj()))
           for a in range(4)))
 
@@ -366,26 +367,21 @@ def _repetition_stabilizer_iso(s):
     not protected (X1 is at spectral distance 1 from every 1 (x) G)."""
     iso_qp = s.iso_qp
     yield "stabilizer_iso_label_examples", max_abs(
-        *(iso_qp.apply(basis_state(8, abc)) - kron(basis_state(2, l), basis_state(4, m))
+        *(iso_qp @ basis_state(8, abc) - kron(basis_state(2, l), basis_state(4, m))
           for abc, l, m in ((0b000, 0, 0b00), (0b100, 1, 0b10), (0b011, 0, 0b10),
                             (0b111, 1, 0b00))))
 
     c = _random_amplitudes(s.rng)
-    flipped = iso_qp.apply(rep.error_operator(1) @ rep.encode(c[0], c[1]))
+    flipped = iso_qp @ (rep.error_operator(1) @ rep.encode(c[0], c[1]))
     target = kron(np.array([c[1], c[0]]), basis_state(4, 0b10))
     yield "first_error_flips_stabilizer_qubit", max_abs(flipped - target)
 
     global_flip = rep.error_operator(1) @ rep.error_operator(2) @ rep.error_operator(3)
     yield "global_flip_is_qubit_flip_in_stabilizer_iso", max_abs(
-        iso_qp.conjugate(global_flip) - kron(sigma_x, identity(4)))
+        iso_qp @ global_flip @ dagger(iso_qp) - kron(sigma_x, identity(4)))
 
-    e1p = iso_qp.conjugate(rep.error_operator(1))
-    gauge_part = np.zeros((4, 4), dtype=complex)
-    for i in (0, 1):
-        sel = np.zeros((2, 1), dtype=complex)
-        sel[i, 0] = 1.0
-        gauge_part += dagger(kron(sel, identity(4))) @ e1p @ kron(sel, identity(4))
-    gauge_part /= 2.0
+    e1p = iso_qp @ rep.error_operator(1) @ dagger(iso_qp)
+    gauge_part = partial_trace(e1p, (2, 4), {1}) / 2.0
     distance = np.linalg.norm(e1p - kron(identity(2), gauge_part), 2)
     yield "stabilizer_qubit_not_protected", abs(distance - 1.0)
 

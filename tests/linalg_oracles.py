@@ -1,8 +1,9 @@
-"""Test-side predicates, random operators and index helpers built on
-qubitbench.linalg."""
+"""Test-side predicates, random operators, index helpers and reference
+constructions built on qubitbench.linalg."""
 
 import numpy as np
 
+from qubitbench.dualrail import annihilation, creation, dual_rail_projector, number
 from qubitbench.linalg import dagger, identity, is_hermitian, max_abs
 
 
@@ -38,6 +39,17 @@ def occupations_of_index(config, index):
         n, rem = divmod(rem, power)
         occs.append(n)
     return tuple(occs)
+
+
+def dual_rail_frame_ladder_oracle(config, k, kp):
+    """(P, X, Y, Z) of the dual-rail qubit on modes (k, kp) from ladder
+    operators: Z = (n_kp - n_k) P, X = (a_k^dag a_kp + h.c.) P, Y = -i Z X,
+    with P the unit-excitation projector of the pair."""
+    p = np.diag(dual_rail_projector(config, k, kp))
+    z = np.diag(number(config, kp) - number(config, k)) @ p
+    hop = creation(config, k) @ annihilation(config, kp)
+    x = (hop + dagger(hop)) @ p
+    return p, x, -1j * (z @ x), z
 
 
 def kraus_apply_oracle(channel, rho):

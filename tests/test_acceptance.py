@@ -47,7 +47,7 @@ from qubitbench.frames import (
     expectation,
     verify_frame,
 )
-from qubitbench.linalg import evolve, identity, kron, max_abs
+from qubitbench.linalg import dagger, evolve, identity, kron, max_abs
 from qubitbench.repetition import (
     encode,
     error_operator,
@@ -194,7 +194,7 @@ def test_flip_code_protection():
     eig_ok = eig_dev <= 1e-12
 
     iso = subsystem_iso_Qprime()
-    got = iso.conjugate(error_operator(1))
+    got = iso @ error_operator(1) @ dagger(iso)
     want = kron(np.array([[0, 1], [1, 0]], dtype=complex),
                 kron(np.array([[0, 1], [1, 0]], dtype=complex), identity(2)))
     flip_ok = max_abs(got - want) == 0.0

@@ -37,7 +37,7 @@ from qubitbench.linalg import (
     max_abs,
 )
 
-from linalg_oracles import is_unitary, occupations_of_index
+from linalg_oracles import dual_rail_frame_ladder_oracle, is_unitary, occupations_of_index
 
 
 def lowering_oracle(cutoff):
@@ -164,6 +164,17 @@ def test_frame_axioms_hold_at_all_cutoffs(cutoff):
     config = FockConfig(2, cutoff)
     report = verify_frame(dual_rail_frame(config, 1, 2))
     assert max(report.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [FockConfig(4, 2), FockConfig(4, 3), FockConfig(6, 2)],
+                         ids=lambda c: f"{c.num_modes}modes-cutoff{c.cutoff}")
+@pytest.mark.parametrize("pair", [(1, 2), (3, 4), (1, 3), (2, 1), (4, 2)], ids=str)
+def test_frame_matches_ladder_oracle(config, pair):
+    # the register modes outside the pair make the gauge factor, m > 1
+    frame = dual_rail_frame(config, *pair)
+    got = (frame.support,) + frame.observables()
+    want = dual_rail_frame_ladder_oracle(config, *pair)
+    assert max_abs(*(g - w for g, w in zip(got, want))) == 0.0
 
 
 def test_frame_action_on_logical_states():

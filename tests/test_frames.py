@@ -19,6 +19,7 @@ from qubitbench.frames import (
     commutant_basis,
     expectation,
     frame_commutes_with,
+    frame_from_isometry,
     generated_algebra_dimension,
     isotypic_decomposition,
     verify_frame,
@@ -26,6 +27,7 @@ from qubitbench.frames import (
 from qubitbench.linalg import (
     basis_state,
     commutator,
+    dagger,
     density,
     identity,
     kron,
@@ -151,6 +153,22 @@ def test_a_nan_member_entry_fails_every_check_that_reads_it(member, monkeypatch)
     doc = run_suite(SuiteConfig(suite="algebra"))
     assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
         f"algebra/{name}" for name in reads_member]
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from((1, 2, 3)), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_frame_from_isometry_is_the_qubit_factor_of_v(m, extra, seed):
+    # a random isometry: the Q factor of a complex Gaussian n x 2m matrix
+    rng = np.random.default_rng(seed)
+    shape = (2 * m + extra, 2 * m)
+    v, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    frame = frame_from_isometry(v, "random")
+    assert frame.label == "random"
+    assert max_abs(*verify_frame(frame).values()) <= 1e-12
+    for sigma, o in zip((sigma_x, sigma_y, sigma_z), frame.observables()):
+        assert max_abs(dagger(v) @ o @ v - kron(sigma, identity(m))) <= 1e-12
+    assert max_abs(frame.support - v @ dagger(v)) <= 1e-12
 
 
 def test_frame_shape_validation():
@@ -326,6 +344,16 @@ def test_generated_algebra_dimension_restricted():
         (kron(sigma_x, identity(2)), kron(sigma_z, identity(2))), "swapped"
     )
     assert generated_algebra_dimension(swapped, word_length=2, restrict_to=sub) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generated_algebra_dimension_is_nan_on_a_non_finite_generator(bad):
+    x = sigma_x.copy()
+    x[0, 1] = bad
+    alg = OperatorAlgebra((x, sigma_z), "non-finite")
+    assert math.isnan(generated_algebra_dimension(alg, word_length=2))
+    assert math.isnan(generated_algebra_dimension(alg, word_length=2,
+                                                  restrict_to=identity(2)[:, :1]))
 
 
 def center_oracle(alg):

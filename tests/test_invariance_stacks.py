@@ -199,7 +199,7 @@ def qubit_factor_oracle(trials, seed, iso):
         c = c / np.linalg.norm(c)
         for a in range(4):
             corrupted = rep.error_operator(a) @ rep.encode(c[0], c[1])
-            rho_q = partial_trace(density(iso.apply(corrupted)), (2, 4), {0})
+            rho_q = partial_trace(density(iso @ corrupted), (2, 4), {0})
             dev = max(dev, abs(1.0 - np.vdot(c, rho_q @ c).real))
     return dev
 

@@ -124,11 +124,13 @@ def test_recovery_corrects_single_flips():
 
 def test_error_basis_iso_columns():
     iso = subsystem_iso_Q()
-    assert iso.syndrome_labels == SYNDROME_TABLE
-    assert max_abs(dagger(iso.unitary) @ iso.unitary - identity(DIM)) < 1e-15
+    outer_products = sum(np.outer(basis_state(DIM, 4 * i + a), code_vector(a, i).conj())
+                         for i in (0, 1) for a in range(4))
+    assert max_abs(iso - outer_products) == 0.0
+    assert max_abs(dagger(iso) @ iso - identity(DIM)) < 1e-15
     for a in range(4):
         for i in (0, 1):
-            image = iso.apply(code_vector(a, i))
+            image = iso @ code_vector(a, i)
             expected = kron(basis_state(2, i), basis_state(4, a))
             assert max_abs(image - expected) == 0.0
 
@@ -140,7 +142,7 @@ def test_noise_recovery_words_factor_exactly():
     iso = subsystem_iso_Q()
     words = error_recovery_words()
     for (b, a), w in words.items():
-        got = iso.conjugate(w)
+        got = iso @ w @ dagger(iso)
         want = kron(identity(2),
                     np.outer(basis_state(4, b), basis_state(4, a).conj()))
         assert max_abs(got - want) < 1e-14
@@ -150,7 +152,7 @@ def test_single_error_on_code_stays_factored():
     # One error applied to a code state moves only the syndrome label.
     iso = subsystem_iso_Q()
     for b in range(4):
-        e_iso = iso.conjugate(error_operator(b))
+        e_iso = iso @ error_operator(b) @ dagger(iso)
         for i in (0, 1):
             vec = e_iso @ kron(basis_state(2, i), basis_state(4, 0))
             expected = kron(basis_state(2, i), basis_state(4, b))
@@ -161,7 +163,7 @@ def test_recovery_in_error_basis_resets_syndrome():
     iso = subsystem_iso_Q()
     channel = recovery_channel()
     for a in range(4):
-        got = iso.conjugate(channel.ops[a])
+        got = iso @ channel.ops[a] @ dagger(iso)
         want = kron(identity(2),
                     np.outer(basis_state(4, 0), basis_state(4, a).conj()))
         assert max_abs(got - want) < 1e-14
@@ -177,7 +179,7 @@ def test_stabilizer_iso_relabels_all_basis_states():
     for idx in range(DIM):
         bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
         l, (m1, m2) = stabilizer_label_oracle(bits)
-        image = iso.apply(basis_state(DIM, idx))
+        image = iso @ basis_state(DIM, idx)
         expected = kron(basis_state(2, l), basis_state(4, 2 * m1 + m2))
         assert max_abs(image - expected) == 0.0
 
@@ -185,7 +187,7 @@ def test_stabilizer_iso_relabels_all_basis_states():
 def test_first_flip_in_stabilizer_picture():
     # E_1 flips the label qubit exactly and moves the syndrome to 10.
     iso = subsystem_iso_Qprime()
-    got = iso.conjugate(error_operator(1))
+    got = iso @ error_operator(1) @ dagger(iso)
     expected = kron(sigma_x, np.zeros((4, 4), dtype=complex))
     # build the syndrome part: m1 flips, m2 fixed
     m_flip = kron(sigma_x, identity(2))

@@ -241,7 +241,9 @@ def test_a_nan_exchange_sector_entry_fails_all_three_sector_checks(monkeypatch):
 @pytest.mark.parametrize("flavor", col.FLAVORS)
 def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
         flavor, member, monkeypatch):
+    # the whole suite, not only the invariance family: the report completes
     exact = col.noiseless_frame
+    clean = run_suite(SuiteConfig(suite="collective"))["checks"]
 
     def noiseless_frame(f):
         frame = exact(f)
@@ -250,15 +252,16 @@ def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
         return dataclasses.replace(frame, **{member: with_nan(getattr(frame, member))})
 
     monkeypatch.setattr(col, "noiseless_frame", noiseless_frame)
-    # only the invariance family: the generated-algebra family's SVD raises
-    # LinAlgError on a NaN frame before any check is judged
-    monkeypatch.setitem(suites._FAMILIES, "collective", (suites._collective_invariance,))
-    doc = run_suite(SuiteConfig(suite="collective"))
-    failed = [c for c in doc["checks"] if not c["pass"]]
-    assert [c["name"] for c in failed] == [
-        f"collective/frame_commutes_with_noise_{flavor}",
-        f"collective/collective_unitary_expectation_invariance_{flavor}"]
-    assert all(math.isnan(c["max_deviation"]) for c in failed)
+    checks = run_suite(SuiteConfig(suite="collective"))["checks"]
+    assert len(checks) == 48
+    assert [c["name"] for c in checks] == [c["name"] for c in clean]
+    failed = {c["name"] for c in checks if not c["pass"]}
+    assert {f"collective/frame_commutes_with_noise_{flavor}",
+            f"collective/collective_unitary_expectation_invariance_{flavor}",
+            "collective/frame_generates_full_qubit_algebra"} <= failed
+    # every check the NaN reaches reads NaN; the others read as on exact frames
+    for got, want in zip(checks, clean):
+        assert (not got["pass"] and math.isnan(got["max_deviation"])) or got == want
 
 
 def test_a_nan_kernel_margin_fails_the_margin_checks(monkeypatch):
