@@ -241,7 +241,7 @@ def test_a_nan_exchange_sector_entry_fails_all_three_sector_checks(monkeypatch):
 @pytest.mark.parametrize("flavor", col.FLAVORS)
 def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
         flavor, member, monkeypatch):
-    # the whole suite, not only the invariance family: the report completes
+    # the whole suite: the NaN also reaches generated_algebra_dimension
     exact = col.noiseless_frame
     clean = run_suite(SuiteConfig(suite="collective"))["checks"]
 
