@@ -196,10 +196,7 @@ def subsystem_iso_Qprime():
 def frame_from_errors():
     """Frame of the code isometry V: O_q = V (sigma (x) 1_4) V^dag, which is
     sum_a E_a O_C E_a for the code observable O_C, with support V V^dag = 1.
-
-    The four conjugated copies act on orthogonal error sectors, so the sums
-    square to the identity and inherit the Pauli relations exactly.  The
-    frame is shared and its arrays are read-only.
+    The frame is shared and its arrays are read-only.
     """
     frame = frame_from_isometry(_code_isometry(), "repetition_errors")
     for member in (frame.support,) + frame.observables():

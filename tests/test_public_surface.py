@@ -1,12 +1,19 @@
 """Every public name of the package has a reader in the package itself.
 
-A name in a module's ``__all__`` must be loaded somewhere in
-``src/qubitbench``: read as a name or an attribute, or imported by another
-module.  Its own definition and its ``__all__`` entry are not reads, and
-neither is the package ``__init__`` re-exporting it.  The one other reader
-accepted is the benchmark tracer, whose ``TARGETS`` wrap a function by
-module and attribute name; this test reads that file and never edits it.
-A helper that only tests call belongs with the tests.
+A name in a module's ``__all__`` must be read somewhere in
+``src/qubitbench``, by a reader that resolves to the module defining it: a
+bare name in that module, a name bound by ``from .module import name``, or
+``alias.name`` where ``alias`` is bound to that module by ``from . import
+module as alias``.  A same-named attribute of any other object is not a
+read, nor is the package ``__init__`` re-exporting the name.
+
+Reads count only from live code: module-level statements, and the bodies of
+top-level functions and classes that are themselves read from live code.
+Two more kinds of root have readers the syntax tree cannot show: the suite
+runners, which ``run_suite`` looks up as ``globals()[f"run_{suite}"]``, and
+the benchmark tracer's ``TARGETS``, which wrap a function by module and
+attribute name; this test reads that file and never edits it.  A helper
+that only tests call belongs with the tests.
 """
 
 import ast
@@ -14,9 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from qubitbench.suites import SUITE_NAMES
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qubitbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# "all" names no runner of its own
+DISPATCHED = {("suites", f"run_{suite}") for suite in SUITE_NAMES if suite != "all"}
 
 
 def parse(path):
@@ -31,17 +42,65 @@ def public_names(tree):
     return []
 
 
-def loaded_names(tree):
-    """Names this module reads, as a name, an attribute or an import."""
+def top_level_definitions(tree):
+    """Names bound by the module's top-level defs, classes and assignments."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
     return out
+
+
+def imported_bindings(tree, modules):
+    """Local names bound by relative imports of package modules: a dict to
+    (module, name) for imported names, and one to module for module aliases."""
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module is None and alias.name in modules:
+                aliases[local] = alias.name
+            elif node.module in modules:
+                names[local] = (node.module, alias.name)
+    return names, aliases
+
+
+def module_reads(module, tree, modules):
+    """(context, (module, name)) for every read of a package name in this
+    module; context is the enclosing top-level definition as (module, name),
+    or None at module level."""
+    defined = top_level_definitions(tree)
+    names, aliases = imported_bindings(tree, modules)
+    for stmt in tree.body:
+        context = None
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            context = (module, stmt.name)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names:
+                    yield context, names[node.id]
+                elif node.id in defined and (module, node.id) != context:
+                    yield context, (module, node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                yield context, (aliases[node.value.id], node.attr)
+
+
+def live_names(trees, roots):
+    """(module, name) pairs reachable from module-level code and roots."""
+    reads = [read for module, tree in trees.items()
+             for read in module_reads(module, tree, set(trees))]
+    live = set(roots) | {target for context, target in reads if context is None}
+    while True:
+        grown = live | {target for context, target in reads if context in live}
+        if grown == live:
+            return live
+        live = grown
 
 
 def traced_targets():
@@ -53,30 +112,44 @@ def traced_targets():
     raise AssertionError("benchmarks/tracer.py defines no TARGETS")
 
 
-def unread_public_names(modules, traced):
-    """Public names of the given modules with no reader in them, as
-    "module.name", leaving out the names in traced."""
+def unread_public_names(modules, roots):
+    """Public names of the given modules with no live reader in them, as
+    "module.name", given the (module, name) roots."""
     trees = {path.stem: parse(path) for path in modules}
-    loaded = set().union(*(loaded_names(tree) for tree in trees.values()))
+    live = live_names(trees, roots)
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in public_names(tree)
-                  if name not in loaded and (module, name) not in traced)
+                  for name in public_names(tree) if (module, name) not in live)
 
 
 def test_every_public_name_has_a_reader_in_the_package():
-    assert unread_public_names(MODULES, traced_targets()) == []
+    assert unread_public_names(MODULES, DISPATCHED | traced_targets()) == []
 
 
-@pytest.mark.parametrize("source, unread", [
-    ('__all__ = ["used", "unused"]\n'
-     "def used():\n    return 1\n"
-     "def unused():\n    return used()\n", ["helper.unused"]),
-    ('__all__ = ["CONSTANT", "Record"]\n'
-     "CONSTANT = 3\nclass Record:\n    size = CONSTANT\n", ["helper.Record"]),
-    ('__all__ = ["traced"]\n'
-     "def traced():\n    return 1\n", []),
-], ids=["unread_function", "unread_class", "traced_function"])
-def test_a_public_name_without_a_reader_is_reported(source, unread, tmp_path):
-    module = tmp_path / "helper.py"
-    module.write_text(source)
-    assert unread_public_names([module], {("helper", "traced")}) == unread
+@pytest.mark.parametrize("sources, unread", [
+    ({"helper": '__all__ = ["used", "unused"]\n'
+                "def used():\n    return 1\n"
+                "def unused():\n    return used()\n"
+                "VALUE = used()\n"}, ["helper.unused"]),
+    ({"helper": '__all__ = ["CONSTANT", "Record"]\n'
+                "CONSTANT = 3\nclass Record:\n    size = CONSTANT\n"},
+     ["helper.CONSTANT", "helper.Record"]),
+    ({"helper": '__all__ = ["traced", "inner"]\n'
+                "def inner():\n    return 1\n"
+                "def traced():\n    return inner()\n"}, []),
+    ({"helper": '__all__ = ["shared", "aliased"]\n'
+                "def shared():\n    return 1\n"
+                "def aliased():\n    return 2\n",
+      "user": "from . import helper as h\nfrom .helper import shared\n"
+              "VALUE = shared() + h.aliased()\n"}, []),
+    ({"helper": '__all__ = ["size"]\n'
+                "def size():\n    return 1\n",
+      "user": "import numpy as np\nsize = 2\nVALUE = np.ones(3).size + size\n"},
+     ["helper.size"]),
+], ids=["dead_caller", "read_only_by_dead_class", "traced_root",
+        "imported_and_aliased", "same_named_attribute_or_variable"])
+def test_a_public_name_without_a_reader_is_reported(sources, unread, tmp_path):
+    modules = []
+    for name, source in sources.items():
+        modules.append(tmp_path / f"{name}.py")
+        modules[-1].write_text(source)
+    assert unread_public_names(modules, {("helper", "traced")}) == unread

@@ -237,6 +237,42 @@ def test_a_nan_exchange_sector_entry_fails_all_three_sector_checks(monkeypatch):
     assert [c["name"] for c in doc["checks"] if not c["pass"]] == [c["name"] for c in sector]
 
 
+# verify_frame entries that read one member of a frame with a NaN at the
+# off-diagonal (3, 5): the support trace reads only the diagonal of P, and
+# hermiticity and the commutators read only X, Y and Z
+VERIFY_FRAME_READS = {
+    "support": ("pairwise_anticommutators", "squares_equal_support",
+                "observables_confined_to_support"),
+    **dict.fromkeys("xyz", ("hermitian_observables", "cyclic_commutators",
+                            "pairwise_anticommutators", "squares_equal_support",
+                            "observables_confined_to_support")),
+}
+# omega-only checks: the scalar identities of X and Z, and the exchange
+# sectors, which restrict X, Y and Z of the omega frame
+OMEGA_READS = {
+    "support": (),
+    "x": ("swap_equals_scalar_combination", "swap_exchanges_route_labels"),
+    "y": (),
+    "z": ("z_is_antisymmetric_triple_product",),
+}
+EXCHANGE_SECTOR_CHECKS = ("exchange_sector_frames_valid", "exchange_sector_commutes_with_sz",
+                          "exchange_sector_not_collectively_protected")
+
+
+def collective_checks_reading(flavor, member):
+    """Names of the collective checks that read the given member of the
+    given flavor's noiseless frame."""
+    names = {f"frame_{flavor}/{name}" for name in VERIFY_FRAME_READS[member]}
+    names |= {f"frame_commutes_with_noise_{flavor}",
+              f"collective_unitary_expectation_invariance_{flavor}",
+              "frame_generates_full_qubit_algebra"}
+    if flavor == "omega":
+        names |= set(OMEGA_READS[member])
+        if member != "support":
+            names |= set(EXCHANGE_SECTOR_CHECKS)
+    return {f"collective/{name}" for name in names}
+
+
 @pytest.mark.parametrize("member", ["support", "x", "y", "z"])
 @pytest.mark.parametrize("flavor", col.FLAVORS)
 def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
@@ -255,13 +291,14 @@ def test_a_nan_noiseless_frame_entry_fails_every_invariance_check_that_reads_it(
     checks = run_suite(SuiteConfig(suite="collective"))["checks"]
     assert len(checks) == 48
     assert [c["name"] for c in checks] == [c["name"] for c in clean]
-    failed = {c["name"] for c in checks if not c["pass"]}
-    assert {f"collective/frame_commutes_with_noise_{flavor}",
-            f"collective/collective_unitary_expectation_invariance_{flavor}",
-            "collective/frame_generates_full_qubit_algebra"} <= failed
-    # every check the NaN reaches reads NaN; the others read as on exact frames
+    reads = collective_checks_reading(flavor, member)
+    assert {c["name"] for c in checks if not c["pass"]} == reads
+    # every check that reads the member reads NaN; the others as on exact frames
     for got, want in zip(checks, clean):
-        assert (not got["pass"] and math.isnan(got["max_deviation"])) or got == want
+        if got["name"] in reads:
+            assert math.isnan(got["max_deviation"]), got["name"]
+        else:
+            assert got == want
 
 
 def test_a_nan_kernel_margin_fails_the_margin_checks(monkeypatch):
