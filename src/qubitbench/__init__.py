@@ -12,7 +12,6 @@ operator-algebra machinery that certifies them lives in `frames`.
 from .frames import (
     AlgebraStructure,
     EncodedQubitFrame,
-    IsotypicSummary,
     OperatorAlgebra,
     algebra_structure,
     commutant_basis,
@@ -26,7 +25,6 @@ from .linalg import KrausChannel, child_seed
 __all__ = [
     "AlgebraStructure",
     "EncodedQubitFrame",
-    "IsotypicSummary",
     "KrausChannel",
     "OperatorAlgebra",
     "algebra_structure",

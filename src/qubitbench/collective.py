@@ -13,18 +13,19 @@ S_z and S^2 are conserved.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import EncodedQubitFrame
 from .linalg import (
+    INPUT_ROUNDING,
     basis_state,
     commutator,
     dagger,
     embed,
     expectations,
     identity,
+    is_hermitian,
     kron,
     max_abs,
     partial_trace,
@@ -42,7 +43,6 @@ __all__ = [
     "total_spin_ops",
     "no_invariant_state_check",
     "joint_kernel_dimension",
-    "ProtectedBasis",
     "protected_basis",
     "scalars",
     "exchange_12",
@@ -129,66 +129,43 @@ def _ket(bits):
     return basis_state(DIM, index)
 
 
-@dataclass(frozen=True)
-class ProtectedBasis:
-    """Four orthonormal spin-1/2 vectors labeled (route, s_z).
-
-    Columns are ordered route-major: (0,+1/2), (0,-1/2), (1,+1/2), (1,-1/2),
-    so that collective generators take the block form 1 (x) B in these
-    coordinates.
-    """
-
-    flavor: str
-    vectors: np.ndarray  # 8 x 4, columns as above
-
-    def vector(self, route, sz):
-        col = {(0, +0.5): 0, (0, -0.5): 1, (1, +0.5): 2, (1, -0.5): 3}[(route, sz)]
-        return self.vectors[:, col]
-
-
+@functools.cache
 def protected_basis(flavor):
-    """The two explicit realizations of the protected pair of routes.
+    """The 8 x 4 isometry V onto the protected pair of routes, one of two
+    explicit realizations.
 
     singlet_triplet builds on singlet/triplet states of spins 1 and 2; omega
     uses relative phases that are cube roots of unity and diagonalizes the
-    cyclic spin permutation.  The returned basis is shared and read-only.
+    cyclic spin permutation.  Columns are route-major: column
+    2 route + (s_z < 0) is the vector (route, s_z), so that collective
+    generators take the block form 1 (x) B in these coordinates.  The array
+    is shared and read-only.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return _protected_basis(flavor)
-
-
-@functools.cache
-def _protected_basis(flavor):
-    # Built once per flavor; read-only because every caller shares it.
     if flavor == "singlet_triplet":
         v0p = (_ket("010") - _ket("100")) / np.sqrt(2.0)
         v0m = (_ket("101") - _ket("011")) / np.sqrt(2.0)
         v1p = (2.0 * _ket("001") - _ket("010") - _ket("100")) / np.sqrt(6.0)
         v1m = (2.0 * _ket("110") - _ket("101") - _ket("011")) / np.sqrt(6.0)
-    else:
+    elif flavor == "omega":
         w = np.exp(2j * np.pi / 3.0)
         v0p = (_ket("001") + w * _ket("010") + w ** 2 * _ket("100")) / np.sqrt(3.0)
         v0m = (_ket("110") + w * _ket("101") + w ** 2 * _ket("011")) / np.sqrt(3.0)
         v1p = (_ket("001") + w ** 2 * _ket("010") + w * _ket("100")) / np.sqrt(3.0)
         v1m = (_ket("110") + w ** 2 * _ket("101") + w * _ket("011")) / np.sqrt(3.0)
-    vectors = np.column_stack([v0p, v0m, v1p, v1m])
-    vectors.setflags(write=False)
-    return ProtectedBasis(flavor=flavor, vectors=vectors)
-
-
-def scalars():
-    """Rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j for the 3 pairs.
-
-    Returns (s12, s23, s31); the arrays are shared and read-only.
-    """
-    return _scalars()
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    v = np.column_stack([v0p, v0m, v1p, v1m])
+    v.setflags(write=False)
+    return v
 
 
 @functools.cache
-def _scalars():
-    # Built on first use, not at import; read-only because every caller
-    # shares these three arrays.
+def scalars():
+    """Rotation scalars s_ij = X_i X_j + Y_i Y_j + Z_i Z_j for the 3 pairs.
+
+    Returns (s12, s23, s31), built on first use; the arrays are shared and
+    read-only.
+    """
     out = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         s = np.zeros((DIM, DIM), dtype=complex)
@@ -245,9 +222,7 @@ def noiseless_frame(flavor):
         y = (z @ x - x @ z) / 2.0j
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return EncodedQubitFrame(
-        support=p, x=x, y=y, z=z, label=f"collective_{flavor}"
-    )
+    return EncodedQubitFrame(support=p, x=x, y=y, z=z)
 
 
 def gauge_blocks(flavor):
@@ -257,7 +232,7 @@ def gauge_blocks(flavor):
     unit-norm real combination of Pauli matrices; the factor 2 reflects that
     the collective components carry spin-1/2 eigenvalues on the gauge pair.
     """
-    v = protected_basis(flavor).vectors
+    v = protected_basis(flavor)
     blocks = []
     dev = 0.0
     for s in collective_ops(N_SPINS):
@@ -355,15 +330,15 @@ def purity_of_protected_qubit(psi_q, rho_gauge, flavor="singlet_triplet", factor
     """
     psi_q = np.asarray(psi_q, dtype=complex)
     rho_gauge = np.asarray(rho_gauge, dtype=complex)
-    if psi_q.shape != (2,) or abs(np.linalg.norm(psi_q) - 1.0) > 1e-9:
+    if psi_q.shape != (2,) or abs(np.linalg.norm(psi_q) - 1.0) > INPUT_ROUNDING:
         raise ValueError("psi_q must be a normalized 2-dim amplitude vector")
     if rho_gauge.shape != (2, 2):
         raise ValueError("rho_gauge must be 2x2")
-    if abs(np.trace(rho_gauge) - 1.0) > 1e-9 or max_abs(rho_gauge - dagger(rho_gauge)) > 1e-9:
+    if abs(np.trace(rho_gauge) - 1.0) > INPUT_ROUNDING or not is_hermitian(rho_gauge):
         raise ValueError("rho_gauge must be Hermitian with unit trace")
     if factor not in ("qubit", "gauge"):
         raise ValueError(f"factor must be 'qubit' or 'gauge', got {factor!r}")
-    v = protected_basis(flavor).vectors
+    v = protected_basis(flavor)
     rho4 = kron(np.outer(psi_q, psi_q.conj()), rho_gauge)
     rho8 = v @ rho4 @ dagger(v)
     back = dagger(v) @ rho8 @ v
@@ -372,30 +347,22 @@ def purity_of_protected_qubit(psi_q, rho_gauge, flavor="singlet_triplet", factor
     return float(np.real(np.trace(reduced @ reduced)))
 
 
-def exchange_sector_frames(flavor="omega"):
+def exchange_sector_frames():
     """Sector qubits available when S_z and S^2 are both conserved.
 
     Splitting the spin-1/2 part by s_z = +1/2 or -1/2 leaves two rank-2
-    supports; the scalar-built observables restrict to a valid frame on
-    each.  These sector frames commute with S_z but not with S_x or S_y, so
-    they trade collective protection for compatibility with exchange-only
-    control.
+    supports; the omega flavor's scalar-built observables restrict to a
+    valid frame on each.  These sector frames commute with S_z but not with
+    S_x or S_y, so they trade collective protection for compatibility with
+    exchange-only control.
     """
-    basis = protected_basis(flavor)
-    frame = noiseless_frame(flavor)
+    v = protected_basis("omega")
+    frame = noiseless_frame("omega")
     out = []
-    for sz, tag in ((+0.5, "plus"), (-0.5, "minus")):
-        cols = [basis.vector(0, sz), basis.vector(1, sz)]
-        p = sum(np.outer(c, c.conj()) for c in cols)
-        x = p @ frame.x @ p
-        y = p @ frame.y @ p
-        z = p @ frame.z @ p
-        out.append(
-            EncodedQubitFrame(
-                support=p, x=x, y=y, z=z,
-                label=f"exchange_sector_{tag}_{flavor}",
-            )
-        )
+    for sector in (0, 1):  # s_z = +1/2, then -1/2: columns 2 route + sector
+        p = sum(np.outer(c, c.conj()) for c in v[:, sector::2].T)
+        out.append(EncodedQubitFrame(support=p, x=p @ frame.x @ p, y=p @ frame.y @ p,
+                                     z=p @ frame.z @ p))
     return tuple(out)
 
 
@@ -405,8 +372,8 @@ def flavor_change_unitary():
     Returns (w, residual): residual measures how far the basis-change matrix
     is from W (x) 1 on route-major coordinates, plus W's unitarity defect.
     """
-    v_om = protected_basis("omega").vectors
-    v_st = protected_basis("singlet_triplet").vectors
+    v_om = protected_basis("omega")
+    v_st = protected_basis("singlet_triplet")
     m = dagger(v_om) @ v_st  # 4x4, blocks indexed by route
     w = partial_trace(m, (2, 2), {0}) / 2.0
     return w, max_abs(m - kron(w, identity(2)), dagger(w) @ w - identity(2))

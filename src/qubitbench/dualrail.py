@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import frame_from_isometry
-from .linalg import dagger, embed, evolve, identity
+from .linalg import INPUT_ROUNDING, dagger, embed, evolve, identity
 
 __all__ = [
     "FockConfig",
@@ -50,11 +50,6 @@ __all__ = [
     "prepare_logical",
     "photodetect",
 ]
-
-
-# Largest |<psi|psi> - 1| accepted as rounding in a state handed to leakage
-# or photodetect.
-_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ def dual_rail_frame(config, k, kp):
     n_k = occupation_table(config)[:, k - 1]
     cols = np.concatenate([np.flatnonzero(sector & (n_k == 0)),
                            np.flatnonzero(sector & (n_k == 1))])
-    return frame_from_isometry(identity(config.dim)[:, cols], f"dual_rail(modes {k},{kp})")
+    return frame_from_isometry(identity(config.dim)[:, cols])
 
 
 def phase_shifter(config, k, phi):
@@ -256,10 +251,10 @@ def leakage(state, config, pairs):
 
 def _require_unit_norm(norm_sq, what):
     """Raise unless every squared norm in norm_sq, one number or one per
-    row of a stack, is 1 within _NORM_TOL; name the worst row (C order)."""
+    row of a stack, is 1 within INPUT_ROUNDING; name the worst row (C order)."""
     flat = np.ravel(norm_sq)
     off = np.abs(flat - 1.0)
-    if np.any(off > _NORM_TOL):
+    if np.any(off > INPUT_ROUNDING):
         worst = int(np.argmax(off))
         where = f" in row {worst}" if np.ndim(norm_sq) else ""
         raise ValueError(f"{what} needs a unit-norm state, got squared norm "

@@ -39,6 +39,7 @@ from .linalg import (
     anticommutator,
     dagger,
     identity,
+    is_hermitian,
     kron,
     max_abs,
     sigma_x,
@@ -50,7 +51,6 @@ __all__ = [
     "EncodedQubitFrame",
     "frame_from_isometry",
     "OperatorAlgebra",
-    "IsotypicSummary",
     "AlgebraStructure",
     "verify_frame",
     "commutant_basis",
@@ -71,7 +71,6 @@ class EncodedQubitFrame:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    label: str = "frame"
 
     def __post_init__(self):
         for name in ("support", "x", "y", "z"):
@@ -91,7 +90,7 @@ class EncodedQubitFrame:
         return (self.x, self.y, self.z)
 
 
-def frame_from_isometry(v, label):
+def frame_from_isometry(v):
     """Frame of the qubit factor of the isometry v: P = V V^dag and
     O = V (sigma (x) 1_m) V^dag for sigma in X, Y, Z.
 
@@ -101,7 +100,7 @@ def frame_from_isometry(v, label):
     v = np.asarray(v, dtype=complex)
     gauge = identity(v.shape[1] // 2)
     x, y, z = (v @ kron(s, gauge) @ dagger(v) for s in (sigma_x, sigma_y, sigma_z))
-    return EncodedQubitFrame(support=v @ dagger(v), x=x, y=y, z=z, label=label)
+    return EncodedQubitFrame(support=v @ dagger(v), x=x, y=y, z=z)
 
 
 def verify_frame(frame):
@@ -142,7 +141,6 @@ class OperatorAlgebra:
     """A set of generators on one ambient space; adjoints are implied."""
 
     generators: tuple
-    label: str = "algebra"
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
@@ -218,23 +216,6 @@ def center_from_commutant(comm):
     return list(np.tensordot(coeffs, basis, axes=1))
 
 
-@dataclass(frozen=True)
-class IsotypicSummary:
-    """Multiset of (multiplicity, irrep dimension) blocks of an algebra."""
-
-    blocks: tuple
-    ambient_dim: int
-    commutant_dim: int
-
-    def as_multiset(self):
-        return tuple(sorted(self.blocks))
-
-    def identities_hold(self):
-        total = sum(m * d for m, d in self.blocks)
-        comm = sum(m * m for m, d in self.blocks)
-        return total == self.ambient_dim and comm == self.commutant_dim
-
-
 # Eigenvalues of a central element closer than this lie in one component.
 CLUSTER_GAP = 1e-6
 # Relative singular values at most this span the commutant or center nullspace.
@@ -259,12 +240,14 @@ def _eigenspaces(v, h):
 
 
 def isotypic_decomposition(comm):
-    """Block structure (m_i, d_i) of the algebra whose commutant has basis comm.
+    """Sorted tuple of the blocks (m_i, d_i) of the algebra whose commutant
+    has basis comm.
 
     The joint eigenspaces of the center are the isotypic components (see the
     module docstring); within each the commutant restricts to a full matrix
     algebra of dimension m_i^2, and the component dimension factors as
-    m_i * d_i.
+    m_i * d_i.  Raises LinAlgError unless the blocks meet the dimension
+    identities sum m_i d_i = n and sum m_i^2 = len(comm).
     """
     comm = np.array(comm)
     n = comm.shape[1]
@@ -282,20 +265,21 @@ def isotypic_decomposition(comm):
                 f"component of dim {v.shape[1]} gave commutant rank {m_sq}")
         blocks.append((m, v.shape[1] // m))
 
-    summary = IsotypicSummary(blocks=tuple(sorted(blocks)), ambient_dim=n,
-                              commutant_dim=len(comm))
-    if not summary.identities_hold():
-        raise np.linalg.LinAlgError(f"blocks {summary.blocks} miss the dimension identities")
-    return summary
+    blocks = tuple(sorted(blocks))
+    if (sum(m * d for m, d in blocks) != n
+            or sum(m * m for m, _ in blocks) != len(comm)):
+        raise np.linalg.LinAlgError(f"blocks {blocks} miss the dimension identities")
+    return blocks
 
 
 @dataclass(frozen=True)
 class AlgebraStructure:
-    """An algebra with its commutant basis and isotypic blocks."""
+    """An algebra with its commutant basis and its sorted isotypic blocks
+    (multiplicity, irrep dimension)."""
 
     algebra: OperatorAlgebra
     commutant: tuple
-    isotypic: IsotypicSummary
+    blocks: tuple
 
 
 def algebra_structure(alg):
@@ -312,10 +296,10 @@ def frame_commutes_with(frame, alg):
     return max_abs(*(commutator(o, g) for g in alg.generators for o in frame.observables()))
 
 
-def expectation(op, state, tol=1e-9):
+def expectation(op, state):
     """<psi|O|psi> for kets, tr(rho O) for density operators; O Hermitian."""
     op = np.asarray(op, dtype=complex)
-    if max_abs(op - dagger(op)) > tol:
+    if not is_hermitian(op):
         raise ValueError("expectation requires a Hermitian operator")
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:

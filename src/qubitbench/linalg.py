@@ -35,6 +35,7 @@ __all__ = [
     "apply_on",
     "commutator",
     "anticommutator",
+    "INPUT_ROUNDING",
     "is_hermitian",
     "eigh",
     "evolve",
@@ -170,19 +171,25 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-def is_hermitian(a, tol=1e-9):
+# Largest departure of an input from a property it must have (Hermiticity,
+# unit norm, unit trace) that is accepted as rounding rather than rejected.
+INPUT_ROUNDING = 1e-9
+
+
+def is_hermitian(a):
+    """Square, and equal to its adjoint within INPUT_ROUNDING."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= INPUT_ROUNDING
 
 
-def eigh(h, tol=1e-9):
+def eigh(h):
     """Hermitian eigendecomposition, eigenvalues ascending.
 
     Returns (w, v) with h @ v[:, j] = w[j] * v[:, j] and orthonormal columns.
     Raises on non-Hermitian input.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("eigh requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     return w, v

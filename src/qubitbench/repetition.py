@@ -23,6 +23,7 @@ from .frames import (
     frame_from_isometry,
 )
 from .linalg import (
+    INPUT_ROUNDING,
     KrausChannel,
     anticommutator,
     basis_state,
@@ -122,11 +123,12 @@ def logical_one():
     return basis_state(DIM, 7)  # |111>
 
 
-def encode(c0, c1, tol=1e-9):
-    """c0 |000> + c1 |111>; arrays of amplitudes give a stack of states."""
+def encode(c0, c1):
+    """c0 |000> + c1 |111>; arrays of amplitudes give a stack of states.
+    Raises unless |c0|^2 + |c1|^2 = 1 within INPUT_ROUNDING."""
     c0 = np.asarray(c0)[..., None]
     c1 = np.asarray(c1)[..., None]
-    if np.any(np.abs(np.abs(c0) ** 2 + np.abs(c1) ** 2 - 1.0) > tol):
+    if np.any(np.abs(np.abs(c0) ** 2 + np.abs(c1) ** 2 - 1.0) > INPUT_ROUNDING):
         raise ValueError("encode requires |c0|^2 + |c1|^2 = 1")
     return c0 * logical_zero() + c1 * logical_one()
 
@@ -198,7 +200,7 @@ def frame_from_errors():
     sum_a E_a O_C E_a for the code observable O_C, with support V V^dag = 1.
     The frame is shared and its arrays are read-only.
     """
-    frame = frame_from_isometry(_code_isometry(), "repetition_errors")
+    frame = frame_from_isometry(_code_isometry())
     for member in (frame.support,) + frame.observables():
         member.setflags(write=False)
     return frame
@@ -282,6 +284,6 @@ def invariance_suite(trials, seed=0):
         checks["single_error_expectation_invariance"] = single_dev
         checks["recovered_word_expectation_invariance"] = word_dev
         checks["error_then_recovery_channel_invariance"] = channel_dev
-    words = OperatorAlgebra(tuple(error_recovery_words().values()), label="error_recovery_words")
+    words = OperatorAlgebra(tuple(error_recovery_words().values()))
     checks["frame_commutes_with_error_recovery_words"] = frame_commutes_with(frame, words)
     return checks

@@ -93,7 +93,7 @@ class _Structures(dict):
     """One report's AlgebraStructure of each paper algebra, built on first use."""
 
     def __missing__(self, label):
-        structure = algebra_structure(OperatorAlgebra(_PAPER_ALGEBRAS[label](), label=label))
+        structure = algebra_structure(OperatorAlgebra(_PAPER_ALGEBRAS[label]()))
         self[label] = structure
         return structure
 
@@ -395,8 +395,8 @@ def _repetition_recovery_idempotent(s):
 def _repetition_word_algebra(s):
     """The sixteen words E_b R_a generate 1_2 (x) M_4: an isotypic block of
     multiplicity 2 and dimension 4."""
-    summary = s.structures["error_recovery_words"].isotypic
-    yield "noise_recovery_algebra_isotypic_block", 0.0 if (2, 4) in summary.as_multiset() else 1.0
+    blocks = s.structures["error_recovery_words"].blocks
+    yield "noise_recovery_algebra_isotypic_block", 0.0 if (2, 4) in blocks else 1.0
 
 
 def _repetition_protected_expectation(s):
@@ -464,7 +464,7 @@ def _collective_protected_basis(s):
     scalars satisfies the six frame axioms."""
     sz = s.generators[2]
     for flavor in col.FLAVORS:
-        v = col.protected_basis(flavor).vectors
+        v = col.protected_basis(flavor)
         yield f"protected_basis_orthonormal_{flavor}", max_abs(dagger(v) @ v - identity(4))
         yield f"protected_basis_quantum_numbers_{flavor}", max_abs(
             s.s2 @ v - 0.75 * v, sz @ v - v @ np.diag([0.5, -0.5, 0.5, -0.5]))
@@ -482,11 +482,9 @@ def _collective_scalar_frame(s):
     yield "swap_equals_scalar_combination", max_abs(om.x - col.exchange_12() @ p_q)
     yield "z_is_antisymmetric_triple_product", max_abs(
         om.z - (np.sqrt(3.0) / 6.0) * col.antisymmetric_product())
-    basis = col.protected_basis("omega")
+    v = col.protected_basis("omega")  # column 2 route + (s_z < 0)
     yield "swap_exchanges_route_labels", max_abs(
-        om.x @ basis.vector(0, +0.5) - basis.vector(1, +0.5),
-        om.x @ basis.vector(1, -0.5) - basis.vector(0, -0.5),
-    )
+        om.x @ v[:, 0] - v[:, 2], om.x @ v[:, 3] - v[:, 1])
 
 
 def _collective_noise_algebra(s):
@@ -494,8 +492,7 @@ def _collective_noise_algebra(s):
     blocks (multiplicity, dimension) are (1, 4) and (2, 2)."""
     noise = s.structures["collective_noise"]
     yield "noise_commutant_dimension", abs(len(noise.commutant) - 5)
-    blocks = noise.isotypic.as_multiset()
-    yield "noise_isotypic_blocks", 0.0 if blocks == ((1, 4), (2, 2)) else 1.0
+    yield "noise_isotypic_blocks", 0.0 if noise.blocks == ((1, 4), (2, 2)) else 1.0
 
 
 def _collective_invariance(s):
@@ -527,7 +524,7 @@ def _collective_exchange_sector(s):
     exchange-only control (they commute with S_z) but not collectively
     protected (some [O, S_x] reaches 0.1)."""
     sx, _, sz = s.generators
-    frames = col.exchange_sector_frames("omega")
+    frames = col.exchange_sector_frames()
     yield "exchange_sector_frames_valid", max_abs(
         *(residual for frame in frames
           for residual in (*verify_frame(frame).values(), np.trace(frame.support).real - 2.0)))
@@ -549,9 +546,9 @@ def _collective_generated_algebra(s):
     dev = 0.0
     for flavor in col.FLAVORS:
         frame = s.frames[flavor]
-        alg = OperatorAlgebra(frame.observables() + (frame.support,), label=f"frame_{flavor}")
+        alg = OperatorAlgebra(frame.observables() + (frame.support,))
         dim = generated_algebra_dimension(
-            alg, word_length=2, restrict_to=col.protected_basis(flavor).vectors)
+            alg, word_length=2, restrict_to=col.protected_basis(flavor))
         dev = max_abs(dev, dim - 4)
     yield "frame_generates_full_qubit_algebra", dev
 
@@ -570,11 +567,9 @@ def _algebra_abstract_qubit(s):
     halving Y breaks {A, B} = 2 delta_AB P, and the break is caught: the
     check reads how far the broken frame's anticommutator deviation is from
     the exact 1.5 by which {Y/2, Y/2} = P/2 misses 2P."""
-    abstract = EncodedQubitFrame(
-        support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z, label="abstract_qubit")
+    abstract = EncodedQubitFrame(support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z)
     yield "abstract_qubit_frame_passes", max_abs(*verify_frame(abstract).values())
-    broken = EncodedQubitFrame(
-        support=identity(2), x=sigma_x, y=sigma_y / 2.0, z=sigma_z, label="broken_qubit")
+    broken = EncodedQubitFrame(support=identity(2), x=sigma_x, y=sigma_y / 2.0, z=sigma_z)
     # {Y/2, Y/2} = P/2 misses 2P by exactly 1.5
     yield "detects_broken_normalization", abs(
         verify_frame(broken)["pairwise_anticommutators"] - 1.5)
@@ -591,15 +586,14 @@ def _algebra_commutant(s):
         scaled = b / b[0, 0] if abs(b[0, 0]) > 0 else b
         residuals.append(scaled - identity(2))
     yield "irreducible_commutant_is_scalars", max_abs(*residuals)
-    trivial = OperatorAlgebra((identity(2),), label="trivial")
+    trivial = OperatorAlgebra((identity(2),))
     yield "identity_generators_have_full_commutant", abs(len(commutant_basis(trivial)) - 4)
 
 
 def _algebra_pauli_isotypic(s):
     """The center of the Pauli algebra is the scalars, so it is one block,
     (multiplicity, dimension) = (1, 2)."""
-    summary = s.structures["pauli"].isotypic
-    yield "pauli_isotypic_single_block", 0.0 if summary.as_multiset() == ((1, 2),) else 1.0
+    yield "pauli_isotypic_single_block", 0.0 if s.structures["pauli"].blocks == ((1, 2),) else 1.0
 
 
 def _algebra_commutant_members(s):
@@ -615,21 +609,10 @@ def _algebra_bicommutant(s):
     4: dimension 20 for collective noise, 16 for the error-recovery words."""
     for label, expected in (("collective_noise", 20), ("error_recovery_words", 16)):
         structure = s.structures[label]
-        bicomm = commutant_basis(
-            OperatorAlgebra(tuple(_hermitian_split(structure.commutant)),
-                            label=f"{label}-commutant")
-        )
+        bicomm = commutant_basis(OperatorAlgebra(structure.commutant))
         span = generated_algebra_dimension(structure.algebra, word_length=4)
         yield (f"bicommutant_matches_generated_{label}",
                max_abs(len(bicomm) - expected, span - expected))
-
-
-def _hermitian_split(matrices):
-    out = []
-    for m in matrices:
-        out.append((m + dagger(m)) / 2.0)
-        out.append((m - dagger(m)) / 2.0j)
-    return out
 
 
 def _algebra_isotypic_determinism(s):
@@ -637,7 +620,7 @@ def _algebra_isotypic_determinism(s):
     the commutant basis they are split from: the reversed basis gives the
     same blocks."""
     noise = s.structures["collective_noise"]
-    same = isotypic_decomposition(noise.commutant[::-1]) == noise.isotypic
+    same = isotypic_decomposition(noise.commutant[::-1]) == noise.blocks
     yield "isotypic_summary_seed_independent", 0.0 if same else 1.0
 
 

@@ -4,7 +4,7 @@ constructions built on qubitbench.linalg."""
 import numpy as np
 
 from qubitbench.dualrail import annihilation, creation, dual_rail_projector, number
-from qubitbench.linalg import dagger, identity, is_hermitian, max_abs
+from qubitbench.linalg import dagger, identity, max_abs
 
 
 def is_unitary(a, tol=1e-9):
@@ -16,9 +16,9 @@ def is_unitary(a, tol=1e-9):
 
 def is_projector(a, tol=1e-9):
     a = np.asarray(a)
-    if not is_hermitian(a, tol):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return max_abs(a @ a - a) <= tol
+    return max_abs(a - dagger(a), a @ a - a) <= tol
 
 
 def random_hermitian(dim, seed):

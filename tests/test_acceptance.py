@@ -25,7 +25,6 @@ from qubitbench.collective import (
     antisymmetric_product,
     joint_kernel_dimension,
     noiseless_frame,
-    protected_basis,
     support_projector,
     total_spin_ops,
 )
@@ -219,10 +218,10 @@ def test_collective_noise_protection():
         margins_ok = margins_ok and margin >= 1e-4
 
     generators = total_spin_ops()[:3]
-    alg = OperatorAlgebra(generators, "collective")
+    alg = OperatorAlgebra(generators)
     commutant_dim = len(commutant_basis(alg))
-    summary = algebra_structure(alg).isotypic
-    iso_ok = summary.as_multiset() == ((1, 4), (2, 2))
+    blocks = algebra_structure(alg).blocks
+    iso_ok = blocks == ((1, 4), (2, 2))
 
     rng = np.random.default_rng(4321)
     frames = (noiseless_frame("omega"), noiseless_frame("singlet_triplet"))
@@ -251,7 +250,7 @@ def test_collective_noise_protection():
         "collective_noise_protection",
         ok,
         f"kernel dims ok {dims_ok}; margins ok {margins_ok}; commutant dim "
-        f"{commutant_dim}; blocks {summary.as_multiset()}; invariance "
+        f"{commutant_dim}; blocks {blocks}; invariance "
         f"{worst:.2e}; support trace deviation {trace_dev:.2e}; "
         f"triple-product deviation {z_dev:.2e}",
     )
@@ -262,11 +261,9 @@ def test_collective_noise_protection():
 
 
 def test_cross_construction_isotypic_block():
-    alg = OperatorAlgebra(tuple(error_recovery_words().values()), "words")
-    summary = algebra_structure(alg).isotypic
-    ok = (2, 4) in summary.as_multiset()
-    report("cross_construction_isotypic_block", ok,
-           f"blocks {summary.as_multiset()} contain (2, 4): {ok}")
+    blocks = algebra_structure(OperatorAlgebra(tuple(error_recovery_words().values()))).blocks
+    ok = (2, 4) in blocks
+    report("cross_construction_isotypic_block", ok, f"blocks {blocks} contain (2, 4): {ok}")
     assert ok
 
 

@@ -109,7 +109,7 @@ def scalar_oracle(i, j):
 
 
 def test_scalars_and_protected_bases_are_shared_and_read_only():
-    arrays = list(scalars()) + [protected_basis(f).vectors for f in FLAVORS]
+    arrays = list(scalars()) + [protected_basis(f) for f in FLAVORS]
     assert all(a is b for a, b in zip(scalars(), scalars()))
     assert all(protected_basis(f) is protected_basis(f) for f in FLAVORS)
     for a in arrays:
@@ -185,18 +185,16 @@ def test_protected_basis_vectors_match_oracles():
     st = protected_basis("singlet_triplet")
     for route in (0, 1):
         for sz in (0.5, -0.5):
-            assert max_abs(om.vector(route, sz)
-                           - omega_vector_oracle(route, sz)) < 1e-15
-            assert max_abs(st.vector(route, sz)
-                           - singlet_triplet_vector_oracle(route, sz)) < 1e-15
+            col = 2 * route + (sz < 0)  # route-major columns
+            assert max_abs(om[:, col] - omega_vector_oracle(route, sz)) < 1e-15
+            assert max_abs(st[:, col] - singlet_triplet_vector_oracle(route, sz)) < 1e-15
     with pytest.raises(ValueError):
         protected_basis("unknown")
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_protected_basis_spans_spin_half_sector(flavor):
-    basis = protected_basis(flavor)
-    v = basis.vectors
+    v = protected_basis(flavor)
     assert v.shape == (8, 4)
     assert max_abs(dagger(v) @ v - identity(4)) < 1e-12
     _, _, sz, s2 = total_spin_ops()
@@ -215,9 +213,9 @@ def test_noiseless_frame_axioms(flavor):
 
 def test_omega_frame_action_on_basis():
     frame = noiseless_frame("omega")
-    basis = protected_basis("omega")
-    for sz in (0.5, -0.5):
-        v0, v1 = basis.vector(0, sz), basis.vector(1, sz)
+    v = protected_basis("omega")
+    for sector in (0, 1):  # s_z = +1/2, -1/2; routes 0 and 1
+        v0, v1 = v[:, sector], v[:, 2 + sector]
         assert max_abs(frame.x @ v0 - v1) < 1e-12
         assert max_abs(frame.x @ v1 - v0) < 1e-12
     # Z is pinned by the antisymmetric triple product identity.
@@ -226,9 +224,9 @@ def test_omega_frame_action_on_basis():
 
 def test_singlet_triplet_frame_action_on_basis():
     frame = noiseless_frame("singlet_triplet")
-    basis = protected_basis("singlet_triplet")
-    for sz in (0.5, -0.5):
-        v0, v1 = basis.vector(0, sz), basis.vector(1, sz)
+    v = protected_basis("singlet_triplet")
+    for sector in (0, 1):  # s_z = +1/2, -1/2; routes 0 and 1
+        v0, v1 = v[:, sector], v[:, 2 + sector]
         # route 0 holds the pair singlet: exchange eigenvalue -1, Z = +1
         assert max_abs(frame.z @ v0 - v0) < 1e-12
         assert max_abs(frame.z @ v1 + v1) < 1e-12
@@ -252,7 +250,7 @@ def test_swap_operator_eigenvalues():
 def test_noise_acts_as_gauge_only(flavor):
     blocks, off_dev = gauge_blocks(flavor)
     assert off_dev < 1e-12
-    v = protected_basis(flavor).vectors
+    v = protected_basis(flavor)
     for s_alpha, block in zip(collective_ops(3), blocks):
         got = dagger(v) @ s_alpha @ v
         assert max_abs(got - np.kron(identity(2), block)) < 1e-12
@@ -266,7 +264,7 @@ def test_noise_acts_as_gauge_only(flavor):
 
 
 def test_commutant_of_collective_noise():
-    alg = OperatorAlgebra(collective_ops(3), "collective")
+    alg = OperatorAlgebra(collective_ops(3))
     basis = commutant_basis(alg)
     assert len(basis) == 5
 
@@ -305,7 +303,7 @@ def test_protected_qubit_purity(flavor):
 
 def test_exchange_sector_frames_are_partial():
     sx, _, sz = collective_ops(3)
-    frames = exchange_sector_frames("omega")
+    frames = exchange_sector_frames()
     assert len(frames) == 2
     for frame in frames:
         assert max(verify_frame(frame).values()) <= 1e-12
@@ -323,6 +321,6 @@ def test_flavor_change_is_qubit_factor_rotation():
     expected = np.array([[-0.70710678j, 0.70710678], [0.70710678j, 0.70710678]])
     assert max_abs(w - expected) < 1e-6
     # the change of basis maps one flavor's vectors onto the other's
-    v_st = protected_basis("singlet_triplet").vectors
-    v_om = protected_basis("omega").vectors
+    v_st = protected_basis("singlet_triplet")
+    v_om = protected_basis("omega")
     assert max_abs(v_om @ np.kron(w, identity(2)) - v_st) < 1e-12

@@ -33,7 +33,6 @@ from qubitbench.linalg import (
     commutator,
     dagger,
     evolve,
-    identity,
     max_abs,
 )
 

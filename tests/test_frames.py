@@ -32,7 +32,6 @@ from qubitbench.linalg import (
     identity,
     kron,
     max_abs,
-    random_haar_state,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -53,9 +52,7 @@ EXPECTED_CHECKS = (
 
 
 def pauli_frame():
-    return EncodedQubitFrame(
-        support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z, label="pauli"
-    )
+    return EncodedQubitFrame(support=identity(2), x=sigma_x, y=sigma_y, z=sigma_z)
 
 
 def doubled_frame():
@@ -65,7 +62,6 @@ def doubled_frame():
         x=kron(identity(2), sigma_x),
         y=kron(identity(2), sigma_y),
         z=kron(identity(2), sigma_z),
-        label="doubled",
     )
 
 
@@ -87,13 +83,13 @@ def test_verify_frame_passes_doubled_qubit():
 
 
 def test_verify_frame_flags_non_hermitian():
-    frame = EncodedQubitFrame(identity(2), sigma_x, 1j * sigma_y, sigma_z, "bad")
+    frame = EncodedQubitFrame(identity(2), sigma_x, 1j * sigma_y, sigma_z)
     report = verify_frame(frame)
     assert not report["hermitian_observables"] <= TOL
 
 
 def test_verify_frame_flags_scaled_observable():
-    frame = EncodedQubitFrame(identity(2), sigma_x, sigma_y / 2.0, sigma_z, "bad")
+    frame = EncodedQubitFrame(identity(2), sigma_x, sigma_y / 2.0, sigma_z)
     report = verify_frame(frame)
     assert not report["pairwise_anticommutators"] <= TOL
     assert not max(report.values()) <= TOL
@@ -101,7 +97,7 @@ def test_verify_frame_flags_scaled_observable():
 
 def test_verify_frame_flags_wrong_handedness():
     # Swapping X and Y inverts the cyclic commutators but keeps everything else.
-    frame = EncodedQubitFrame(identity(2), sigma_y, sigma_x, sigma_z, "bad")
+    frame = EncodedQubitFrame(identity(2), sigma_y, sigma_x, sigma_z)
     report = verify_frame(frame)
     assert not report["cyclic_commutators"] <= TOL
     assert report["pairwise_anticommutators"] <= TOL
@@ -110,8 +106,7 @@ def test_verify_frame_flags_wrong_handedness():
 
 def test_verify_frame_flags_odd_support_trace():
     proj = np.diag([1.0, 1.0, 1.0]).astype(complex)
-    frame = EncodedQubitFrame(proj, np.zeros((3, 3)), np.zeros((3, 3)),
-                              np.zeros((3, 3)), "odd")
+    frame = EncodedQubitFrame(proj, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
     report = verify_frame(frame)
     assert not report["support_trace_even"] <= TOL
 
@@ -124,12 +119,12 @@ def test_verify_frame_flags_observable_leaving_support():
     y[:2, :2] = sigma_y
     z = np.zeros((4, 4), dtype=complex)
     z[:2, :2] = sigma_z
-    good = EncodedQubitFrame(proj, x, y, z, "embedded")
+    good = EncodedQubitFrame(proj, x, y, z)
     assert max(verify_frame(good).values()) <= TOL
 
     x_leak = x.copy()
     x_leak[2, 3] = x_leak[3, 2] = 1.0
-    bad = EncodedQubitFrame(proj, x_leak, y, z, "leaky")
+    bad = EncodedQubitFrame(proj, x_leak, y, z)
     report = verify_frame(bad)
     assert not report["observables_confined_to_support"] <= TOL
 
@@ -138,7 +133,7 @@ def test_verify_frame_flags_observable_leaving_support():
 def test_a_nan_member_entry_fails_every_check_that_reads_it(member, monkeypatch):
     members = {"x": sigma_x.copy(), "y": sigma_y.copy(), "z": sigma_z.copy()}
     members[member][0, 1] = np.nan
-    report = verify_frame(EncodedQubitFrame(identity(2), label="nan", **members))
+    report = verify_frame(EncodedQubitFrame(identity(2), **members))
     # every check but the support trace reads X, Y and Z
     reads_member = EXPECTED_CHECKS[:-1]
     for name in reads_member:
@@ -163,8 +158,7 @@ def test_frame_from_isometry_is_the_qubit_factor_of_v(m, extra, seed):
     rng = np.random.default_rng(seed)
     shape = (2 * m + extra, 2 * m)
     v, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    frame = frame_from_isometry(v, "random")
-    assert frame.label == "random"
+    frame = frame_from_isometry(v)
     assert max_abs(*verify_frame(frame).values()) <= 1e-12
     for sigma, o in zip((sigma_x, sigma_y, sigma_z), frame.observables()):
         assert max_abs(dagger(v) @ o @ v - kron(sigma, identity(m))) <= 1e-12
@@ -173,7 +167,7 @@ def test_frame_from_isometry_is_the_qubit_factor_of_v(m, extra, seed):
 
 def test_frame_shape_validation():
     with pytest.raises(ValueError):
-        EncodedQubitFrame(identity(2), sigma_x, sigma_y, identity(3), "bad")
+        EncodedQubitFrame(identity(2), sigma_x, sigma_y, identity(3))
 
 
 def test_report_json_shape():
@@ -213,19 +207,19 @@ def test_nullspace_matches_direct_svd(rows, cols):
 
 
 def test_commutant_of_irreducible_algebra_is_scalars():
-    basis = commutant_basis(OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli"))
+    basis = commutant_basis(OperatorAlgebra((sigma_x, sigma_y, sigma_z)))
     assert len(basis) == 1
     b = basis[0]
     assert max_abs(b / b[0, 0] - identity(2)) < 1e-9
 
 
 def test_commutant_of_identity_is_everything():
-    basis = commutant_basis(OperatorAlgebra((identity(2),), "trivial"))
+    basis = commutant_basis(OperatorAlgebra((identity(2),)))
     assert len(basis) == 4
 
 
 def test_commutant_of_diagonal_generator():
-    basis = commutant_basis(OperatorAlgebra((sigma_z,), "diag"))
+    basis = commutant_basis(OperatorAlgebra((sigma_z,)))
     assert len(basis) == 2
     for b in basis:
         assert max_abs(b - np.diag(np.diag(b))) < 1e-9
@@ -233,7 +227,7 @@ def test_commutant_of_diagonal_generator():
 
 def test_commutant_members_commute_with_generators():
     gens = (kron(sigma_x, identity(2)), kron(sigma_z, identity(2)))
-    alg = OperatorAlgebra(gens, "half")
+    alg = OperatorAlgebra(gens)
     basis = commutant_basis(alg)
     assert len(basis) == 4
     for b in basis:
@@ -242,29 +236,26 @@ def test_commutant_members_commute_with_generators():
 
 
 def test_with_adjoints_adds_only_new_operators():
-    alg = OperatorAlgebra((sigma_x, sigma_x + 1j * sigma_y), "mixed")
+    alg = OperatorAlgebra((sigma_x, sigma_x + 1j * sigma_y))
     ops = alg.with_adjoints()
     assert len(ops) == 3
 
 
 def test_isotypic_full_matrix_algebra():
-    summary = algebra_structure(OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli")).isotypic
-    assert summary.as_multiset() == ((1, 2),)
-    assert summary.identities_hold()
+    assert algebra_structure(OperatorAlgebra((sigma_x, sigma_y, sigma_z))).blocks == ((1, 2),)
 
 
 def test_isotypic_tensor_factor():
     gens = (kron(sigma_x, identity(2)), kron(sigma_y, identity(2)),
             kron(sigma_z, identity(2)))
-    summary = algebra_structure(OperatorAlgebra(gens, "factor")).isotypic
-    assert summary.as_multiset() == ((2, 2),)
-    assert summary.ambient_dim == 4
-    assert summary.commutant_dim == 4
+    structure = algebra_structure(OperatorAlgebra(gens))
+    assert structure.blocks == ((2, 2),)
+    assert structure.algebra.ambient_dim == 4
+    assert len(structure.commutant) == 4
 
 
 def test_isotypic_abelian_generator():
-    summary = algebra_structure(OperatorAlgebra((sigma_z,), "diag")).isotypic
-    assert summary.as_multiset() == ((1, 1), (1, 1))
+    assert algebra_structure(OperatorAlgebra((sigma_z,))).blocks == ((1, 1), (1, 1))
 
 
 def test_isotypic_direct_sum_blocks():
@@ -273,19 +264,18 @@ def test_isotypic_direct_sum_blocks():
     g1[:2, :2] = sigma_x
     g2 = np.zeros((3, 3), dtype=complex)
     g2[:2, :2] = sigma_z
-    summary = algebra_structure(OperatorAlgebra((g1, g2), "sum")).isotypic
-    assert summary.as_multiset() == ((1, 1), (1, 2))
+    assert algebra_structure(OperatorAlgebra((g1, g2))).blocks == ((1, 1), (1, 2))
 
 
 def test_isotypic_decomposition_is_deterministic():
     # no seed: two splits of one commutant basis, and of the same basis in
     # another order, give the same blocks
-    alg = OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli")
+    alg = OperatorAlgebra((sigma_x, sigma_y, sigma_z))
     a = algebra_structure(alg)
     b = algebra_structure(alg)
-    assert a.isotypic == b.isotypic
-    assert isotypic_decomposition(a.commutant[::-1]) == a.isotypic
-    assert a.isotypic.as_multiset() == ((1, 2),)
+    assert a.blocks == b.blocks
+    assert isotypic_decomposition(a.commutant[::-1]) == a.blocks
+    assert a.blocks == ((1, 2),)
 
 
 @pytest.mark.parametrize("phase", [1.0, 1j], ids=["hermitian", "anti_hermitian"])
@@ -294,26 +284,36 @@ def test_isotypic_split_refines_by_every_center_element(phase):
     # element separates one component from the rest, and with phase i only
     # the anti-Hermitian parts separate anything.
     units = [phase * np.diag(row).astype(complex) for row in np.eye(4)]
-    summary = isotypic_decomposition(units)
-    assert summary.as_multiset() == ((1, 1),) * 4
-    assert summary.commutant_dim == 4
+    assert isotypic_decomposition(units) == ((1, 1),) * 4
+
+
+@pytest.mark.parametrize("dropped", range(5))
+def test_isotypic_decomposition_raises_when_blocks_miss_the_dimension_identities(dropped):
+    # Collective noise without one of its five commutant elements: each
+    # component still gives a square rank, and the blocks ((1, 4), (2, 2))
+    # still fill the 8 dimensions, but 1 + 4 squares count five elements,
+    # not the four given.
+    comm = algebra_structure(OperatorAlgebra(collective_ops(3))).commutant
+    truncated = comm[:dropped] + comm[dropped + 1:]
+    with pytest.raises(np.linalg.LinAlgError, match="miss the dimension identities"):
+        isotypic_decomposition(truncated)
 
 
 def test_frame_commutes_with_commuting_algebra():
     frame = doubled_frame()
-    alg = OperatorAlgebra((kron(sigma_x, identity(2)),), "left")
+    alg = OperatorAlgebra((kron(sigma_x, identity(2)),))
     assert frame_commutes_with(frame, alg) <= TOL
 
 
 def test_frame_commutes_with_detects_violation():
     frame = pauli_frame()
-    alg = OperatorAlgebra((sigma_x,), "clash")
+    alg = OperatorAlgebra((sigma_x,))
     assert not frame_commutes_with(frame, alg) <= TOL
 
 
 def test_frame_commutes_with_dim_mismatch():
     with pytest.raises(ValueError):
-        frame_commutes_with(pauli_frame(), OperatorAlgebra((identity(4),), "big"))
+        frame_commutes_with(pauli_frame(), OperatorAlgebra((identity(4),)))
 
 
 def test_expectation_on_kets_and_densities():
@@ -327,7 +327,7 @@ def test_expectation_on_kets_and_densities():
 
 
 def test_generated_algebra_dimension_pauli():
-    alg = OperatorAlgebra((sigma_x, sigma_z), "pauli-gen")
+    alg = OperatorAlgebra((sigma_x, sigma_z))
     assert generated_algebra_dimension(alg, word_length=2) == 4
 
 
@@ -335,14 +335,12 @@ def test_generated_algebra_dimension_restricted():
     # Restriction to an invariant subspace: fix the first factor, act on the
     # second; the compressed words span the full 2x2 algebra.
     gens = (kron(identity(2), sigma_x), kron(identity(2), sigma_z))
-    alg = OperatorAlgebra(gens, "factor")
+    alg = OperatorAlgebra(gens)
     sub = np.eye(4, dtype=complex)[:, :2]
     assert generated_algebra_dimension(alg, word_length=2, restrict_to=sub) == 4
     # The same span measured on a subspace the algebra leaves: only the
     # identity compression survives.
-    swapped = OperatorAlgebra(
-        (kron(sigma_x, identity(2)), kron(sigma_z, identity(2))), "swapped"
-    )
+    swapped = OperatorAlgebra((kron(sigma_x, identity(2)), kron(sigma_z, identity(2))))
     assert generated_algebra_dimension(swapped, word_length=2, restrict_to=sub) == 1
 
 
@@ -350,7 +348,7 @@ def test_generated_algebra_dimension_restricted():
 def test_generated_algebra_dimension_is_nan_on_a_non_finite_generator(bad):
     x = sigma_x.copy()
     x[0, 1] = bad
-    alg = OperatorAlgebra((x, sigma_z), "non-finite")
+    alg = OperatorAlgebra((x, sigma_z))
     assert math.isnan(generated_algebra_dimension(alg, word_length=2))
     assert math.isnan(generated_algebra_dimension(alg, word_length=2,
                                                   restrict_to=identity(2)[:, :1]))
@@ -359,7 +357,7 @@ def test_generated_algebra_dimension_is_nan_on_a_non_finite_generator(bad):
 def center_oracle(alg):
     """Center as the commutant of the generators together with their commutant."""
     gens = tuple(alg.generators) + tuple(commutant_basis(alg))
-    return commutant_basis(OperatorAlgebra(gens, f"{alg.label}+commutant"))
+    return commutant_basis(OperatorAlgebra(gens))
 
 
 def span_projector(matrices):
@@ -382,14 +380,13 @@ def conjugated_direct_sum_algebra(seed):
         g[4:, 4:] = random_hermitian(3, rng)
         gens.append(g)
     u, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
-    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens), "conjugated_sum")
+    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens))
 
 
 CENTER_CASES = {
-    "pauli": lambda: OperatorAlgebra((sigma_x, sigma_y, sigma_z), "pauli"),
-    "collective_noise": lambda: OperatorAlgebra(collective_ops(3), "collective_noise"),
-    "error_recovery_words": lambda: OperatorAlgebra(tuple(error_recovery_words().values()),
-                                                    "error_recovery_words"),
+    "pauli": lambda: OperatorAlgebra((sigma_x, sigma_y, sigma_z)),
+    "collective_noise": lambda: OperatorAlgebra(collective_ops(3)),
+    "error_recovery_words": lambda: OperatorAlgebra(tuple(error_recovery_words().values())),
     "conjugated_direct_sum": lambda: conjugated_direct_sum_algebra(11),
 }
 
@@ -404,14 +401,13 @@ def test_center_from_commutant_matches_two_stack_oracle(case):
     assert max_abs(span_projector(center) - span_projector(oracle)) < 1e-9
     gram = np.array([[np.vdot(a, b) for b in center] for a in center])
     assert max_abs(gram - identity(len(center))) < 1e-9
-    summary = isotypic_decomposition(comm)
-    assert len(center) == len(summary.blocks)
+    assert len(center) == len(isotypic_decomposition(comm))
 
 
 def test_conjugated_direct_sum_blocks():
-    summary = algebra_structure(conjugated_direct_sum_algebra(11)).isotypic
-    assert summary.as_multiset() == ((1, 3), (2, 2))
-    assert summary.commutant_dim == 5
+    structure = algebra_structure(conjugated_direct_sum_algebra(11))
+    assert structure.blocks == ((1, 3), (2, 2))
+    assert len(structure.commutant) == 5
 
 
 # A dense full-matrices SVD of the 1792 x 64 word-algebra stack allocates
@@ -449,7 +445,7 @@ def block_sum_algebra(blocks, seed):
             g[start:start + m * d, start:start + m * d] = kron(identity(m), part)
         start += m * d
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens), "block_sum")
+    return OperatorAlgebra(tuple(u @ g @ u.conj().T for g in gens))
 
 
 @st.composite
@@ -473,14 +469,14 @@ def block_shapes(draw, max_dim=12):
 def test_block_sum_structure_matches_construction(blocks, seed):
     alg = block_sum_algebra(blocks, seed)
     structure = algebra_structure(alg)
-    assert structure.isotypic.as_multiset() == tuple(sorted(blocks))
+    assert structure.blocks == tuple(sorted(blocks))
     assert len(structure.commutant) == sum(m * m for m, _ in blocks)
-    bicommutant = commutant_basis(OperatorAlgebra(structure.commutant, "bicommutant"))
+    bicommutant = commutant_basis(OperatorAlgebra(structure.commutant))
     assert len(bicommutant) == sum(d * d for _, d in blocks)
     assert generated_algebra_dimension(alg, word_length=12) == sum(d * d for _, d in blocks)
     again = algebra_structure(alg)
-    assert again.isotypic.blocks == structure.isotypic.blocks
-    assert isotypic_decomposition(structure.commutant) == structure.isotypic
+    assert again.blocks == structure.blocks
+    assert isotypic_decomposition(structure.commutant) == structure.blocks
 
 
 def random_isometry(n, k, seed):
@@ -491,14 +487,14 @@ def random_isometry(n, k, seed):
 
 def frame_algebra(flavor):
     frame = noiseless_frame(flavor)
-    return OperatorAlgebra(frame.observables() + (frame.support,), f"frame_{flavor}")
+    return OperatorAlgebra(frame.observables() + (frame.support,))
 
 
 GENERATED_CASES = {
     "collective_noise": (CENTER_CASES["collective_noise"], random_isometry(8, 5, 2)),
     "error_recovery_words": (CENTER_CASES["error_recovery_words"], random_isometry(8, 5, 0)),
     "pauli": (CENTER_CASES["pauli"], basis_state(2, 0)[:, None]),
-    "frame_omega": (lambda: frame_algebra("omega"), protected_basis("omega").vectors),
+    "frame_omega": (lambda: frame_algebra("omega"), protected_basis("omega")),
     "frame_singlet_triplet": (lambda: frame_algebra("singlet_triplet"),
                               random_isometry(8, 3, 1)),
 }

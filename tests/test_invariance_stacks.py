@@ -117,7 +117,7 @@ def qubit_one_frame(n_sites):
     """Paulis on the first physical qubit or spin: unprotected by both codes."""
     return EncodedQubitFrame(
         support=identity(2 ** n_sites), x=embed(sigma_x, 0, n_sites),
-        y=embed(sigma_y, 0, n_sites), z=embed(sigma_z, 0, n_sites), label="qubit_one")
+        y=embed(sigma_y, 0, n_sites), z=embed(sigma_z, 0, n_sites))
 
 
 def miscorrecting_channel():

@@ -14,6 +14,10 @@ runners, which ``run_suite`` looks up as ``globals()[f"run_{suite}"]``, and
 the benchmark tracer's ``TARGETS``, which wrap a function by module and
 attribute name; this test reads that file and never edits it.  A helper
 that only tests call belongs with the tests.
+
+Two more rules hold state to what is read: every field of a package
+dataclass has an attribute read of its name in live package code, and no
+module of the package or of the tests imports a name it never reads.
 """
 
 import ast
@@ -153,3 +157,71 @@ def test_a_public_name_without_a_reader_is_reported(sources, unread, tmp_path):
         modules.append(tmp_path / f"{name}.py")
         modules[-1].write_text(source)
     assert unread_public_names(modules, {("helper", "traced")}) == unread
+
+
+def dataclass_fields(tree):
+    """(class, field) for every annotated field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def unread_fields(modules, roots):
+    """Dataclass fields, as "module.Class.field", whose name no attribute
+    read in live code of the given modules carries."""
+    trees = {path.stem: parse(path) for path in modules}
+    live = live_names(trees, roots)
+    read = {node.attr for module, tree in trees.items() for stmt in tree.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            or (module, stmt.name) in live
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{cls}.{field}" for module, tree in trees.items()
+                  for cls, field in dataclass_fields(tree) if field not in read)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields(MODULES, DISPATCHED | traced_targets()) == []
+
+
+def test_a_field_read_only_in_dead_code_is_reported(tmp_path):
+    (tmp_path / "helper.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Record:\n    kept: int\n    dropped: int = 0\n"
+        "def traced():\n    return Record(1).kept\n"
+        "def dead(r):\n    return r.dropped\n")
+    assert unread_fields([tmp_path / "helper.py"], {("helper", "traced")}) == [
+        "helper.Record.dropped"]
+
+
+def unread_imports(path):
+    """Names the module at path imports but never reads; a name listed in
+    its __all__ counts as read."""
+    tree = parse(path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set(public_names(tree)) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", [*sorted(PACKAGE.glob("*.py")),
+                                  *sorted((ROOT / "tests").glob("*.py"))],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unread_imports(path) == []
+
+
+def test_an_unread_import_is_reported(tmp_path):
+    path = tmp_path / "helper.py"
+    path.write_text("from __future__ import annotations\nimport os.path\n"
+                    "from math import pi, tau\n__all__ = ['tau']\nVALUE = os.sep\n")
+    assert unread_imports(path) == ["pi (line 3)"]

@@ -227,9 +227,9 @@ def with_nan(matrix):
 
 
 def test_a_nan_exchange_sector_entry_fails_all_three_sector_checks(monkeypatch):
-    first, second = col.exchange_sector_frames("omega")
+    first, second = col.exchange_sector_frames()
     nan_frames = (first, dataclasses.replace(second, x=with_nan(second.x)))
-    monkeypatch.setattr(col, "exchange_sector_frames", lambda flavor="omega": nan_frames)
+    monkeypatch.setattr(col, "exchange_sector_frames", lambda: nan_frames)
     doc = run_suite(SuiteConfig(suite="collective", trials=0))
     sector = [c for c in doc["checks"] if c["name"].startswith("collective/exchange_sector_")]
     assert len(sector) == 3
