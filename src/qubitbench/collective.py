@@ -29,6 +29,7 @@ from .linalg import (
     kron,
     max_abs,
     partial_trace,
+    random_haar_state,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -286,9 +287,9 @@ def noiseless_invariance_suite(trials, seed=0):
     trials = 0 drops it.
 
     Trials run in stacks of at most linalg.TRIAL_CHUNK.  Per flavor, a stack
-    of n draws one standard normal block (n, 19): the rotation vector theta
-    is columns 0-2, Re psi columns 3-10 and Im psi columns 11-18, the same
-    numbers trial-by-trial draws of theta and a Haar state would take.
+    of n draws from seed, an integer or a np.random.Generator drawn in place,
+    the rotation vectors theta as one standard normal block (n, 3), then the
+    states random_haar_state(DIM, rng, n).
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -313,16 +314,15 @@ def noiseless_invariance_suite(trials, seed=0):
         if trials > 0:
             dev = 0.0
             for n in trial_chunks(trials):
-                draws = rng.standard_normal((n, 19))
-                psi = draws[:, 3:11] + 1j * draws[:, 11:]
-                psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-                phi = (_collective_unitaries(draws[:, :3]) @ psi[:, :, None])[:, :, 0]
+                theta = rng.standard_normal((n, 3))
+                psi = random_haar_state(DIM, rng, n)
+                phi = (_collective_unitaries(theta) @ psi[:, :, None])[:, :, 0]
                 dev = max_abs(dev, expectations(phi, members) - expectations(psi, members))
             checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
     return checks
 
 
-def purity_of_protected_qubit(psi_q, rho_gauge, flavor="singlet_triplet", factor="qubit"):
+def purity_of_protected_qubit(psi_q, rho_gauge, flavor, factor="qubit"):
     """Purity of one factor of |psi><psi| (x) rho_gauge embedded in 8 dims.
 
     The qubit factor must come out pure regardless of the gauge state; with

@@ -8,7 +8,7 @@ frame of the isometry onto a pair's unit-excitation sector), and the
 linear-optics gates (phase shifter, beam splitter, the sign-on-two-photons
 gate, and their conditional-sign composition), plus leakage bookkeeping and
 destructive photodetection.  Diagonal operators (occupation numbers, pair
-projectors, the sign gate) are returned as their diagonals, 1-D arrays.
+projectors, phase shifters, the sign gate) are returned as 1-D diagonals.
 
 The two-mode gates are exponentiated on the (cutoff+1)^2 space of the two
 modes they touch and lifted to the register of the config they are given
@@ -166,8 +166,8 @@ def dual_rail_frame(config, k, kp):
 
 
 def phase_shifter(config, k, phi):
-    """exp(-i phi n_k)."""
-    return np.diag(np.exp(-1j * phi * number(config, k)))
+    """Diagonal of exp(-i phi n_k)."""
+    return np.exp(-1j * phi * number(config, k))
 
 
 def beam_splitter(config, k, l, theta, phi=0.0):
@@ -288,8 +288,7 @@ def photodetect(state, config, k, seed):
     state = np.asarray(state, dtype=complex)
     counts = occupation_table(config)[:, k - 1]
     total = probs.sum()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    outcome = int(rng.choice(config.mode_dim, p=probs / total))
+    outcome = int(np.random.default_rng(seed).choice(config.mode_dim, p=probs / total))
     post = np.where(counts == outcome, state, 0.0)
     norm = np.linalg.norm(post)
     if norm == 0.0:  # unreachable for a sampled outcome

@@ -247,19 +247,19 @@ def partial_trace(rho, dims, keep):
     return reduced.reshape(d_keep, d_keep)
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def random_haar_state(dim, seed, n=None):
+    """Haar-random pure state of dimension dim, or an (n, dim) stack of them.
 
-
-def random_haar_state(dim, seed):
-    """Haar-random pure state, deterministic per seed."""
+    seed is an integer or a np.random.Generator, drawn from in place.  A
+    stack is one (n, 2, dim) block of standard normals, each state's real
+    parts then its imaginary parts, so it equals n single draws bit for bit.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = _as_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    z = np.random.default_rng(seed).standard_normal((1 if n is None else n, 2, dim))
+    psi = z[:, 0] + 1j * z[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi[0] if n is None else psi
 
 
 # Randomized checks evaluate their trials in stacks of at most this many, so

@@ -34,6 +34,7 @@ from .linalg import (
     expectations,
     identity,
     max_abs,
+    random_haar_state,
     sigma_x,
     sigma_z,
     trial_chunks,
@@ -234,9 +235,10 @@ def invariance_suite(trials, seed=0):
     randomized checks and keeps the static commutation check.
 
     Trials run in stacks of at most linalg.TRIAL_CHUNK.  Each stack of n
-    draws its randomness in blocks: the amplitudes (n, 4), then the word and
-    cycle lengths (n, 2) in 1..3, then the letters (n, 2, 3), of which a
-    trial uses as many as its length.
+    draws from seed, an integer or a np.random.Generator drawn in place,
+    the amplitudes random_haar_state(2, rng, n), then the word and cycle
+    lengths (n, 2) in 1..3, then the letters (n, 2, 3), of which a trial
+    uses as many as its length.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -255,11 +257,9 @@ def invariance_suite(trials, seed=0):
     word_dev = 0.0
     channel_dev = 0.0
     for n in trial_chunks(trials):
-        amps = rng.standard_normal((n, 4))
+        c = random_haar_state(2, rng, n)
         lengths = rng.integers(1, 4, size=(n, 2))
         letters = rng.integers(0, 4, size=(n, 2, 3))
-        c = amps[:, :2] + 1j * amps[:, 2:]
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
         psi = encode(c[:, 0], c[:, 1])
         ref = expectations(psi, obs)
 

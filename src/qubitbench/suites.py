@@ -2,18 +2,18 @@
 
 Each suite runner returns (name, deviation) pairs, produced in order by the
 check families of its suite in ``_FAMILIES``.  A family is a small generator
-over one namespace shared by the suite's run: the configuration, the suite's
-random stream and the heavy inputs the runner builds once.  Its docstring is
-its ``--describe`` text.  The structure of each paper algebra (commutant and
-isotypic blocks) is built at most once per report, on first use, and shared
-by every suite of the report.  A family measures its residuals with
-``linalg.max_abs``, one call over all the parts of a check (or a running
-``dev = max_abs(dev, residual)`` over trial stacks), so a NaN anywhere
-reaches the check; no family sees the tolerance.  ``run_suite`` adds the
-suite prefix and is the one place that judges a deviation against it.  All
-randomness is derived from the master seed and the suite name, so results do
-not depend on execution order and identical configurations reproduce
-identical numbers.
+over one namespace shared by the suite's run: the configuration, the heavy
+inputs the runner builds once and the family's own random stream.  Its
+docstring is its ``--describe`` text.  The structure of each paper algebra
+(commutant and isotypic blocks) is built at most once per report, on first
+use, and shared by every suite of the report.  A family measures its
+residuals with ``linalg.max_abs``, one call over all the parts of a check
+(or a running ``dev = max_abs(dev, residual)`` over trial stacks), so a NaN
+anywhere reaches the check; no family sees the tolerance.  ``run_suite``
+adds the suite prefix and is the one place that judges a deviation against
+it.  All randomness is derived from the master seed and the family's name,
+so the samples of a family do not depend on what any other family draws, and
+identical configurations reproduce identical numbers.
 """
 
 from __future__ import annotations
@@ -99,25 +99,14 @@ class _Structures(dict):
 
 
 def _run(config, suite, structures, **inputs):
-    """The suite's (name, deviation) pairs, family by family."""
-    s = SimpleNamespace(
-        seed=config.seed, trials=config.trials,
-        rng=np.random.default_rng(child_seed(config.seed, suite)),
-        structures=structures, **inputs,
-    )
-    return [pair for family in _FAMILIES[suite] for pair in family(s)]
-
-
-def _random_amplitudes(rng, n=None):
-    """Unit-norm amplitude pairs: one of shape (2,), or an (n, 2) stack
-    drawn as one (n, 2, 2) block.  Each pair takes two real parts, then two
-    imaginary parts, from the stream.  Its squared norm sums the two dot
-    products in the order np.linalg.norm does, through the same dot kernel,
-    so a stack equals n one-pair draws bit for bit."""
-    z = rng.standard_normal((1 if n is None else n, 2, 2))
-    sq = (z[..., None, :] @ z[..., :, None])[..., 0, 0]
-    c = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
-    return c[0] if n is None else c
+    """The suite's (name, deviation) pairs, family by family; each family
+    draws from its own stream, seeded by the master seed and its name."""
+    s = SimpleNamespace(trials=config.trials, structures=structures, **inputs)
+    pairs = []
+    for family in _FAMILIES[suite]:
+        s.rng = np.random.default_rng(child_seed(config.seed, family.__name__))
+        pairs.extend(family(s))
+    return pairs
 
 
 _TWO_QUBIT_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -208,11 +197,8 @@ def _bosonic_logical_evolution(s):
     zero, one = dr.prepare_logical(config2, (0,)), dr.prepare_logical(config2, (1,))
     dev = 0.0
     for n in trial_chunks(max(1, s.trials // 10)):
-        # drawn sample by sample, amplitudes then time, as the later
-        # families of this suite expect of the shared stream
-        draws = [(_random_amplitudes(s.rng), s.rng.uniform(0.0, 2.0 * np.pi)) for _ in range(n)]
-        states = np.array([c[0] * zero + c[1] * one for c, _ in draws])
-        times = np.array([t for _, t in draws])
+        states = random_haar_state(2, s.rng, n) @ np.array([zero, one])
+        times = s.rng.uniform(0.0, 2.0 * np.pi, n)
         for h in (s.frame.z, s.frame.x):
             evolved = (evolve(h, times) @ states[:, :, None])[:, :, 0]
             dev = max_abs(dev, dr.leakage(evolved, config2, [(1, 2)]))
@@ -221,8 +207,7 @@ def _bosonic_logical_evolution(s):
 
 def _bosonic_phase_shifter(s):
     """exp(-i 2 pi n_k) is the identity."""
-    yield "phase_shifter_full_period", max_abs(
-        dr.phase_shifter(s.config2, 1, 2.0 * np.pi) - identity(s.config2.dim))
+    yield "phase_shifter_full_period", max_abs(dr.phase_shifter(s.config2, 1, 2.0 * np.pi) - 1.0)
 
 
 def _bosonic_beam_splitter(s):
@@ -268,7 +253,7 @@ def _bosonic_photodetection(s):
     yield "photodetection_born_probabilities", max_abs(
         dist[0] - 0.5, dist[1] - 0.5, dist.sum() - 1.0)
 
-    det_seed = child_seed(s.seed, "bosonic-detect")
+    det_seed = s.rng.integers(2**63)
     out1 = dr.photodetect(plus, config2, 1, det_seed)
     out2 = dr.photodetect(plus, config2, 1, det_seed)
     same = out1[0] == out2[0] and max_abs(out1[1] - out2[1]) == 0.0
@@ -345,7 +330,7 @@ def _repetition_error_basis_iso(s):
     errors = np.stack([rep.error_operator(a) for a in range(4)])
     dev = 0.0
     for n in trial_chunks(max(1, s.trials // 10)):
-        c = _random_amplitudes(s.rng, n)
+        c = random_haar_state(2, s.rng, n)
         corrupted = (errors @ rep.encode(c[:, 0], c[:, 1]).T).transpose(2, 0, 1)
         # qubit (x) syndrome amplitudes of each corrupted state; the qubit
         # factor's reduced operator is phi phi^dag over the syndrome index
@@ -371,7 +356,7 @@ def _repetition_stabilizer_iso(s):
           for abc, l, m in ((0b000, 0, 0b00), (0b100, 1, 0b10), (0b011, 0, 0b10),
                             (0b111, 1, 0b00))))
 
-    c = _random_amplitudes(s.rng)
+    c = random_haar_state(2, s.rng)
     flipped = iso_qp @ (rep.error_operator(1) @ rep.encode(c[0], c[1]))
     target = kron(np.array([c[1], c[0]]), basis_state(4, 0b10))
     yield "first_error_flips_stabilizer_qubit", max_abs(flipped - target)
@@ -410,7 +395,7 @@ def _repetition_invariance(s):
     """Frame expectations are unchanged by single errors, by recovered
     words and by error-then-recovery cycles on trials random encoded states;
     the frame commutes with every word E_b R_a."""
-    yield from rep.invariance_suite(s.trials, child_seed(s.seed, "rep-invariance")).items()
+    yield from rep.invariance_suite(s.trials, s.rng).items()
 
 
 def run_repetition(config, structures):
@@ -500,8 +485,7 @@ def _collective_invariance(s):
     coordinates each S_alpha is 1 (x) B with 2B a unit real Pauli
     combination; frame expectations are invariant under trials random
     collective unitaries."""
-    seed = child_seed(s.seed, "col-invariance")
-    yield from col.noiseless_invariance_suite(s.trials, seed).items()
+    yield from col.noiseless_invariance_suite(s.trials, s.rng).items()
 
 
 def _collective_purity(s):

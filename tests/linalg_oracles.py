@@ -25,7 +25,7 @@ def random_hermitian(dim, seed):
     """Gaussian random Hermitian matrix, deterministic per seed."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + dagger(z)) / 2.0
 

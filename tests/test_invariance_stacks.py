@@ -7,7 +7,7 @@ stacked and scalar paths are also compared on unprotected frames, where a
 stacked expression that compared a state with itself would read 0.  The
 sampled repetition check errors_leave_qubit_factor_untouched, also run as
 stacks, is compared with the per-sample partial_trace loop it replaced, and
-its bulk amplitude draw with the per-sample draws.  The sampled bosonic
+a block of Haar states with as many single draws.  The sampled bosonic
 check evolves and measures whole stacks, one leakage call per stack and
 generator.
 """
@@ -38,6 +38,8 @@ from qubitbench.linalg import (
     sigma_y,
     sigma_z,
 )
+
+from linalg_oracles import random_hermitian
 
 TRIALS = (1, 7, TRIAL_CHUNK + 3)
 SEEDS = (0, 1, 3)
@@ -89,8 +91,10 @@ def repetition_oracle(trials, seed, frame, channel):
 def collective_oracle(trials, seed, frame_of):
     """Per-trial deviations of the collective randomized check, per flavor.
 
-    Draws trial by trial as theta = standard_normal(3) followed by a Haar
-    state, and exponentiates theta.S by eigendecomposition.
+    Draws per flavor and stack of at most TRIAL_CHUNK trials, in the suite's
+    order: theta (n, 3), then the real and imaginary parts of n states
+    (n, 2, DIM).  Normalizes one state at a time and exponentiates theta.S
+    by eigendecomposition.
     """
     rng = np.random.default_rng(seed)
     generators = col.collective_ops(col.N_SPINS)
@@ -99,12 +103,15 @@ def collective_oracle(trials, seed, frame_of):
         frame = frame_of(flavor)
         members = frame.observables() + (frame.support,)
         dev = 0.0
-        for _ in range(trials):
-            theta = rng.standard_normal(3)
-            u = evolve(sum(t * s for t, s in zip(theta, generators)), 1.0)
-            psi = random_haar_state(col.DIM, rng)
-            before = [np.vdot(psi, o @ psi).real for o in members]
-            dev = _expectation_defect(dev, u @ psi, members, before)
+        for start in range(0, trials, TRIAL_CHUNK):
+            n = min(TRIAL_CHUNK, trials - start)
+            thetas = rng.standard_normal((n, 3))
+            parts = rng.standard_normal((n, 2, col.DIM))
+            for theta, (re, im) in zip(thetas, parts):
+                u = evolve(sum(t * s for t, s in zip(theta, generators)), 1.0)
+                psi = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+                before = [np.vdot(psi, o @ psi).real for o in members]
+                dev = _expectation_defect(dev, u @ psi, members, before)
         out[f"collective_unitary_expectation_invariance_{flavor}"] = dev
     return out
 
@@ -189,10 +196,10 @@ def qubit_factor_oracle(trials, seed, iso):
     """Per-sample repetition/errors_leave_qubit_factor_untouched: the
     reduced qubit operator of each corrupted state by partial_trace.
 
-    The families before it draw nothing from the suite's stream, so its
-    samples are the stream's first draws.
+    Its samples are the first draws of the family's own stream, each two
+    real parts then two imaginary parts.
     """
-    rng = np.random.default_rng(child_seed(seed, "repetition"))
+    rng = np.random.default_rng(child_seed(seed, "_repetition_error_basis_iso"))
     dev = 0.0
     for _ in range(max(1, trials // 10)):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -232,29 +239,38 @@ def test_qubit_factor_stacks_are_sensitive(trials, seed, monkeypatch):
     assert abs(got - qubit_factor_oracle(trials, seed, iso)) <= 1e-12
 
 
-def amplitudes_oracle(rng):
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return c / np.linalg.norm(c)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [None, 1, 7, TRIAL_CHUNK, 300])
 def test_amplitude_block_equals_per_sample_draws(n, seed):
-    bulk_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = suites._random_amplitudes(bulk_rng, n)
-    expected = (amplitudes_oracle(sample_rng) if n is None
-                else np.array([amplitudes_oracle(sample_rng) for _ in range(n)]))
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    assert bulk_rng.bit_generator.state == sample_rng.bit_generator.state
+    # random_haar_state(d, rng, n) is n single draws bit for bit and leaves
+    # the stream where they leave it; n = None is one draw, a block of one.
+    for d in (2, 8, 9):
+        bulk_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_haar_state(d, bulk_rng, n)
+        expected = (random_haar_state(d, sample_rng, 1)[0] if n is None
+                    else np.array([random_haar_state(d, sample_rng) for _ in range(n)]))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert bulk_rng.bit_generator.state == sample_rng.bit_generator.state
 
 
 def logical_evolution_oracle(trials, seed, frame, config):
     """Per-sample bosonic/logical_evolution_stays_in_code_space: one drawn
-    state, one time and one 1-D leakage call at a time."""
+    state, one time and one 1-D leakage call at a time.
+
+    Draws per stack of at most TRIAL_CHUNK samples, in the family's order:
+    the real and imaginary parts of n amplitude pairs (n, 2, 2), then n
+    times.
+    """
     rng = np.random.default_rng(seed)
     zero, one = dr.prepare_logical(config, (0,)), dr.prepare_logical(config, (1,))
-    draws = [(amplitudes_oracle(rng), rng.uniform(0.0, 2.0 * np.pi))
-             for _ in range(max(1, trials // 10))]
+    draws = []
+    samples = max(1, trials // 10)
+    for start in range(0, samples, TRIAL_CHUNK):
+        n = min(TRIAL_CHUNK, samples - start)
+        parts = rng.standard_normal((n, 2, 2))
+        times = rng.uniform(0.0, 2.0 * np.pi, n)
+        draws += [((re + 1j * im) / np.linalg.norm(re + 1j * im), t)
+                  for (re, im), t in zip(parts, times)]
     return max(dr.leakage(evolve(h, t) @ (c[0] * zero + c[1] * one), config, [(1, 2)])
                for h in (frame.z, frame.x) for c, t in draws)
 
@@ -281,6 +297,18 @@ def test_logical_evolution_calls_leakage_once_per_stack_and_generator(trials, st
     monkeypatch.setattr(dr, "leakage", leakage)
     assert abs(dev - logical_evolution_oracle(trials, 5, frame, config)) <= 1e-12
     assert dev <= 1e-9
+
+
+@pytest.mark.parametrize("trials", [10, 3000])
+def test_logical_evolution_matches_oracle_on_leaking_generators(trials):
+    # Random Hermitian generators carry logical states out of the code space,
+    # so the deviation depends on every drawn amplitude and time.
+    config = dr.FockConfig(2, 2)
+    frame = SimpleNamespace(z=random_hermitian(config.dim, 11), x=random_hermitian(config.dim, 12))
+    s = SimpleNamespace(config2=config, frame=frame, trials=trials, rng=np.random.default_rng(5))
+    [(_, dev)] = suites._bosonic_logical_evolution(s)
+    assert dev > 0.1
+    assert abs(dev - logical_evolution_oracle(trials, 5, frame, config)) <= 1e-12
 
 
 MEMORY_GUARD_BYTES = 4 * 2**20

@@ -140,9 +140,23 @@ def test_suite_alone_matches_its_slice_of_all(suite):
     assert alone == [c for c in whole if c["name"].startswith(f"{suite}/")]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_family_that_draws_moves_no_other_family(seed, monkeypatch):
+    before = run_suite(SuiteConfig(seed=seed))["checks"]
+
+    def _drawing(s):
+        """Draws five numbers from its stream and emits nothing."""
+        s.rng.standard_normal(5)
+        yield from ()
+
+    for suite, families in list(suites._FAMILIES.items()):
+        monkeypatch.setitem(suites._FAMILIES, suite, (_drawing,) + families)
+    assert run_suite(SuiteConfig(seed=seed))["checks"] == before
+
+
 def csign_checks(cutoff, gate):
-    s = SimpleNamespace(tol=SuiteConfig().tolerance, config2=dr.FockConfig(2, cutoff),
-                        config4=dr.FockConfig(4, cutoff), csign=gate)
+    s = SimpleNamespace(config2=dr.FockConfig(2, cutoff), config4=dr.FockConfig(4, cutoff),
+                        csign=gate)
     return dict(suites._bosonic_csign(s))
 
 
