@@ -4,10 +4,13 @@ When noise couples to the total spin components S_x, S_y, S_z only, the
 eight-dimensional space splits by total angular momentum into a spin-3/2
 part and two equivalent spin-1/2 routes.  The route label is untouched by
 the noise and carries one protected qubit.  The module builds the collective
-generators, both explicit protected bases (a singlet-triplet flavor and a
-phase flavor built on the cube roots of unity), the rotation-scalar
-observables, the protected frame, and the sector frames available when only
-S_z and S^2 are conserved.
+generators and both explicit protected bases, the isometries V of a
+singlet-triplet flavor and of a phase flavor built on the cube roots of
+unity.  Every frame here is ``frames.frame_from_isometry`` of V or of its
+columns: the protected frame of each flavor, and the sector frames available
+when only S_z and S^2 are conserved.  The rotation scalars, and the support
+projector, pair swap and antisymmetric triple product built from them, are
+a second construction that the checks compare these frames with.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .frames import EncodedQubitFrame
+from .frames import frame_from_isometry
 from .linalg import (
     INPUT_ROUNDING,
     basis_state,
@@ -49,13 +52,11 @@ __all__ = [
     "exchange_12",
     "antisymmetric_product",
     "support_projector",
-    "gauge_blocks",
     "pauli_coefficients",
     "noiseless_frame",
     "noiseless_invariance_suite",
     "purity_of_protected_qubit",
     "exchange_sector_frames",
-    "flavor_change_unitary",
 ]
 
 N_SPINS = 3
@@ -137,7 +138,9 @@ def protected_basis(flavor):
 
     singlet_triplet builds on singlet/triplet states of spins 1 and 2; omega
     uses relative phases that are cube roots of unity and diagonalizes the
-    cyclic spin permutation.  Columns are route-major: column
+    cyclic spin permutation: route 0 puts the phases (1, w^2, w) and route 1
+    the phases (1, w, w^2) on |001>, |010>, |100> (s_z = +1/2) and on their
+    complements (s_z = -1/2).  Columns are route-major: column
     2 route + (s_z < 0) is the vector (route, s_z), so that collective
     generators take the block form 1 (x) B in these coordinates.  The array
     is shared and read-only.
@@ -149,10 +152,10 @@ def protected_basis(flavor):
         v1m = (2.0 * _ket("110") - _ket("101") - _ket("011")) / np.sqrt(6.0)
     elif flavor == "omega":
         w = np.exp(2j * np.pi / 3.0)
-        v0p = (_ket("001") + w * _ket("010") + w ** 2 * _ket("100")) / np.sqrt(3.0)
-        v0m = (_ket("110") + w * _ket("101") + w ** 2 * _ket("011")) / np.sqrt(3.0)
-        v1p = (_ket("001") + w ** 2 * _ket("010") + w * _ket("100")) / np.sqrt(3.0)
-        v1m = (_ket("110") + w ** 2 * _ket("101") + w * _ket("011")) / np.sqrt(3.0)
+        v0p = (_ket("001") + w ** 2 * _ket("010") + w * _ket("100")) / np.sqrt(3.0)
+        v0m = (_ket("110") + w ** 2 * _ket("101") + w * _ket("011")) / np.sqrt(3.0)
+        v1p = (_ket("001") + w * _ket("010") + w ** 2 * _ket("100")) / np.sqrt(3.0)
+        v1m = (_ket("110") + w * _ket("101") + w ** 2 * _ket("011")) / np.sqrt(3.0)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     v = np.column_stack([v0p, v0m, v1p, v1m])
@@ -204,47 +207,13 @@ def support_projector():
 
 
 def noiseless_frame(flavor):
-    """Protected qubit observables built from rotation scalars.
+    """The protected qubit of the given flavor: the frame of its isometry V.
 
-    omega flavor: X = (2 s12 - s23 - s31) P / 6 (the swap of spins 1 and 2
-    restricted to the support), Y = -(sqrt3/6)(s23 - s31) P, Z = [X, Y]/2i.
-    singlet_triplet flavor: X = (sqrt3/6)(s23 - s31) P, Z = -(swap) P, and Y
-    completes the triple via Y = [Z, X]/2i.
+    Route 0 is the +1 eigenspace of Z for both flavors, and X exchanges the
+    routes.  On the support, the omega X is the swap of spins 1 and 2 and
+    the singlet-triplet Z is minus that swap.
     """
-    s12, s23, s31 = scalars()
-    p = support_projector()
-    if flavor == "omega":
-        x = ((2.0 * s12 - s23 - s31) / 6.0) @ p
-        y = (-np.sqrt(3.0) / 6.0) * ((s23 - s31) @ p)
-        z = (x @ y - y @ x) / 2.0j
-    elif flavor == "singlet_triplet":
-        x = (np.sqrt(3.0) / 6.0) * ((s23 - s31) @ p)
-        z = -exchange_12() @ p
-        y = (z @ x - x @ z) / 2.0j
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return EncodedQubitFrame(support=p, x=x, y=y, z=z)
-
-
-def gauge_blocks(flavor):
-    """2x2 blocks B_alpha with V^dag S_alpha V = 1 (x) B_alpha.
-
-    Returns (blocks, off_block_deviation).  sigma(alpha) = 2 B_alpha is a
-    unit-norm real combination of Pauli matrices; the factor 2 reflects that
-    the collective components carry spin-1/2 eigenvalues on the gauge pair.
-    """
-    v = protected_basis(flavor)
-    blocks = []
-    dev = 0.0
-    for s in collective_ops(N_SPINS):
-        m = dagger(v) @ s @ v
-        b00 = m[0:2, 0:2]
-        b01 = m[0:2, 2:4]
-        b10 = m[2:4, 0:2]
-        b11 = m[2:4, 2:4]
-        dev = max_abs(dev, b01, b10, b00 - b11)
-        blocks.append((b00 + b11) / 2.0)
-    return tuple(blocks), dev
+    return frame_from_isometry(protected_basis(flavor))
 
 
 def pauli_coefficients(op2):
@@ -303,10 +272,14 @@ def noiseless_invariance_suite(trials, seed=0):
         checks[f"frame_commutes_with_noise_{flavor}"] = max_abs(
             *(commutator(o, s) for o in members for s in generators))
 
-        blocks, block_dev = gauge_blocks(flavor)
-        unit_dev = 0.0
-        for b in blocks:
+        # V^dag S_alpha V = 1 (x) B_alpha, with B_alpha the gauge-factor block
+        v = protected_basis(flavor)
+        block_dev = unit_dev = 0.0
+        for s in generators:
+            m = dagger(v) @ s @ v
+            b = partial_trace(m, (2, 2), {1}) / 2.0
             coeffs, residual = pauli_coefficients(2.0 * b)
+            block_dev = max_abs(block_dev, m - kron(identity(2), b))
             unit_dev = max_abs(unit_dev, residual, coeffs @ coeffs - 1.0)
         checks[f"noise_block_structure_{flavor}"] = block_dev
         checks[f"gauge_action_unit_pauli_{flavor}"] = unit_dev
@@ -351,29 +324,11 @@ def exchange_sector_frames():
     """Sector qubits available when S_z and S^2 are both conserved.
 
     Splitting the spin-1/2 part by s_z = +1/2 or -1/2 leaves two rank-2
-    supports; the omega flavor's scalar-built observables restrict to a
-    valid frame on each.  These sector frames commute with S_z but not with
-    S_x or S_y, so they trade collective protection for compatibility with
-    exchange-only control.
+    supports; on each, the omega flavor's two route vectors of that s_z are
+    the isometry of a qubit with no gauge factor.  These sector frames
+    commute with S_z but not with S_x or S_y, so they trade collective
+    protection for compatibility with exchange-only control.
     """
     v = protected_basis("omega")
-    frame = noiseless_frame("omega")
-    out = []
-    for sector in (0, 1):  # s_z = +1/2, then -1/2: columns 2 route + sector
-        p = sum(np.outer(c, c.conj()) for c in v[:, sector::2].T)
-        out.append(EncodedQubitFrame(support=p, x=p @ frame.x @ p, y=p @ frame.y @ p,
-                                     z=p @ frame.z @ p))
-    return tuple(out)
-
-
-def flavor_change_unitary():
-    """2x2 unitary W relating the two protected bases on the qubit factor.
-
-    Returns (w, residual): residual measures how far the basis-change matrix
-    is from W (x) 1 on route-major coordinates, plus W's unitarity defect.
-    """
-    v_om = protected_basis("omega")
-    v_st = protected_basis("singlet_triplet")
-    m = dagger(v_om) @ v_st  # 4x4, blocks indexed by route
-    w = partial_trace(m, (2, 2), {0}) / 2.0
-    return w, max_abs(m - kron(w, identity(2)), dagger(w) @ w - identity(2))
+    # s_z = +1/2, then -1/2: columns 2 route + sector
+    return tuple(frame_from_isometry(v[:, sector::2]) for sector in (0, 1))

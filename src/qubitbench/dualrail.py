@@ -232,16 +232,12 @@ def leakage(state, config, pairs):
     """
     state = np.asarray(state, dtype=complex)
     seen = set()
+    keep = np.ones(config.dim, dtype=bool)
     for k, kp in pairs:
         if k in seen or kp in seen:
             raise ValueError("overlapping pairs")
         seen.update((k, kp))
-    occs = occupation_table(config)
-    keep = np.ones(config.dim, dtype=bool)
-    for k, kp in pairs:
-        config.check_mode(k)
-        config.check_mode(kp)
-        keep &= (occs[:, k - 1] + occs[:, kp - 1]) == 1
+        keep &= dual_rail_projector(config, k, kp) == 1.0
     weights = np.abs(state) ** 2
     _require_unit_norm(np.sum(weights, axis=-1), "leakage")
     # the clamp absorbs rounding only; unnormalized input was rejected above

@@ -444,9 +444,9 @@ def _collective_scalars(s):
 
 def _collective_protected_basis(s):
     """Two explicit route bases, singlet-triplet and cube-root-of-unity
-    phases, are orthonormal with S^2 = 3/4 and S_z = +-1/2; on each, the
-    frame P = 1/2 - (s12 + s23 + s31)/6 with X, Y, Z built from rotation
-    scalars satisfies the six frame axioms."""
+    phases, are orthonormal with S^2 = 3/4 and S_z = +-1/2; the frame of
+    each, P = V V^dag and X, Y, Z = V (sigma (x) 1) V^dag, satisfies the six
+    frame axioms."""
     sz = s.generators[2]
     for flavor in col.FLAVORS:
         v = col.protected_basis(flavor)
@@ -458,13 +458,16 @@ def _collective_protected_basis(s):
 
 
 def _collective_scalar_frame(s):
-    """tr P = 4; the omega frame's X is the swap of spins 1 and 2 on the
-    support and exchanges the route labels, and its Z is
+    """P = 1/2 - (s12 + s23 + s31)/6 has trace 4; the swap of spins 1 and 2
+    times P is the omega frame's X, which exchanges the route labels, and
+    minus the singlet-triplet frame's Z; the omega frame's Z is
     (sqrt3/6) sum eps_abc sigma_a^1 sigma_b^2 sigma_c^3."""
     p_q = col.support_projector()
     yield "support_trace", abs(np.trace(p_q).real - 4.0)
     om = s.frames["omega"]
-    yield "swap_equals_scalar_combination", max_abs(om.x - col.exchange_12() @ p_q)
+    swap = col.exchange_12() @ p_q
+    yield "swap_equals_scalar_combination", max_abs(
+        om.x - swap, s.frames["singlet_triplet"].z + swap)
     yield "z_is_antisymmetric_triple_product", max_abs(
         om.z - (np.sqrt(3.0) / 6.0) * col.antisymmetric_product())
     v = col.protected_basis("omega")  # column 2 route + (s_z < 0)
@@ -521,7 +524,10 @@ def _collective_exchange_sector(s):
 
 def _collective_flavor_change(s):
     """The two flavors differ by a unitary W (x) 1 on the qubit factor."""
-    yield "flavors_differ_by_qubit_factor_unitary", col.flavor_change_unitary()[1]
+    m = dagger(col.protected_basis("omega")) @ col.protected_basis("singlet_triplet")
+    w = partial_trace(m, (2, 2), {0}) / 2.0
+    yield "flavors_differ_by_qubit_factor_unitary", max_abs(
+        m - kron(w, identity(2)), dagger(w) @ w - identity(2))
 
 
 def _collective_generated_algebra(s):

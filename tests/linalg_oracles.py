@@ -3,6 +3,7 @@ constructions built on qubitbench.linalg."""
 
 import numpy as np
 
+from qubitbench.collective import scalars
 from qubitbench.dualrail import annihilation, creation, dual_rail_projector, number
 from qubitbench.linalg import dagger, identity, max_abs
 
@@ -50,6 +51,30 @@ def dual_rail_frame_ladder_oracle(config, k, kp):
     hop = creation(config, k) @ annihilation(config, kp)
     x = (hop + dagger(hop)) @ p
     return p, x, -1j * (z @ x), z
+
+
+def collective_scalar_frame_oracle(flavor):
+    """(P, X, Y, Z) of the protected three-spin qubit of the given flavor
+    from the rotation scalars s_ij, with P = 1/2 - (s12 + s23 + s31)/6.
+
+    omega: X = (2 s12 - s23 - s31) P / 6, the swap of spins 1 and 2 on the
+    support; Y = -(sqrt3/6)(s23 - s31) P; Z = [X, Y]/2i.
+    singlet_triplet: X = (sqrt3/6)(s23 - s31) P; Z = -(1 + s12) P / 2, minus
+    the swap; Y = [Z, X]/2i.
+    """
+    s12, s23, s31 = scalars()
+    p = identity(8) / 2.0 - (s12 + s23 + s31) / 6.0
+    if flavor == "omega":
+        x = ((2.0 * s12 - s23 - s31) / 6.0) @ p
+        y = (-np.sqrt(3.0) / 6.0) * ((s23 - s31) @ p)
+        z = (x @ y - y @ x) / 2.0j
+    elif flavor == "singlet_triplet":
+        x = (np.sqrt(3.0) / 6.0) * ((s23 - s31) @ p)
+        z = -((identity(8) + s12) / 2.0) @ p
+        y = (z @ x - x @ z) / 2.0j
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return p, x, y, z
 
 
 def kraus_apply_oracle(channel, rho):

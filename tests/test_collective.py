@@ -11,8 +11,6 @@ from qubitbench.collective import (
     collective_ops,
     exchange_12,
     exchange_sector_frames,
-    flavor_change_unitary,
-    gauge_blocks,
     joint_kernel_dimension,
     no_invariant_state_check,
     noiseless_frame,
@@ -33,13 +31,14 @@ from qubitbench.linalg import (
     identity,
     kron_all,
     max_abs,
+    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
     sigma_z,
 )
 
-from linalg_oracles import is_projector
+from linalg_oracles import collective_scalar_frame_oracle, is_projector
 
 I2 = identity(2)
 PAULIS = (sigma_x, sigma_y, sigma_z)
@@ -164,7 +163,7 @@ def omega_vector_oracle(route, sz):
         kets = [basis_state(8, 0b001), basis_state(8, 0b010), basis_state(8, 0b100)]
     else:
         kets = [basis_state(8, 0b110), basis_state(8, 0b101), basis_state(8, 0b011)]
-    w = W3 if route == 0 else W3**2
+    w = W3**2 if route == 0 else W3
     return (kets[0] + w * kets[1] + w**2 * kets[2]) / np.sqrt(3.0)
 
 
@@ -211,6 +210,27 @@ def test_noiseless_frame_axioms(flavor):
     assert max(report.values()) <= 1e-12
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_noiseless_frame_equals_scalar_oracle(flavor):
+    frame = noiseless_frame(flavor)
+    got = (frame.support, *frame.observables())
+    for member, expected in zip(got, collective_scalar_frame_oracle(flavor)):
+        assert max_abs(member - expected) < 1e-12
+    with pytest.raises(ValueError):
+        noiseless_frame("unknown")
+
+
+def test_exchange_sector_frames_restrict_the_scalar_oracle():
+    # P_s = P (1/2 +- S_z) keeps the s_z = +-1/2 half of the support
+    p, *observables = collective_scalar_frame_oracle("omega")
+    sz = collective_ops(3)[2]
+    for sign, frame in zip((1.0, -1.0), exchange_sector_frames()):
+        p_s = p @ (identity(8) / 2.0 + sign * sz)
+        assert max_abs(frame.support - p_s) < 1e-12
+        for member, expected in zip(frame.observables(), observables):
+            assert max_abs(member - p_s @ expected @ p_s) < 1e-12
+
+
 def test_omega_frame_action_on_basis():
     frame = noiseless_frame("omega")
     v = protected_basis("omega")
@@ -248,14 +268,14 @@ def test_swap_operator_eigenvalues():
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_noise_acts_as_gauge_only(flavor):
-    blocks, off_dev = gauge_blocks(flavor)
-    assert off_dev < 1e-12
     v = protected_basis(flavor)
-    for s_alpha, block in zip(collective_ops(3), blocks):
+    two = []
+    for s_alpha in collective_ops(3):
         got = dagger(v) @ s_alpha @ v
+        block = partial_trace(got, (2, 2), {1}) / 2.0
         assert max_abs(got - np.kron(identity(2), block)) < 1e-12
+        two.append(2.0 * block)
     # doubled blocks close the Pauli algebra on the gauge factor
-    two = [2.0 * b for b in blocks]
     assert max_abs(commutator(two[0], two[1]) - 2j * two[2]) < 1e-12
     for b in two:
         coeffs, residual = pauli_coefficients(b)
@@ -315,12 +335,13 @@ def test_exchange_sector_frames_are_partial():
 
 
 def test_flavor_change_is_qubit_factor_rotation():
-    w, residual = flavor_change_unitary()
-    assert residual < 1e-12
-    assert max_abs(dagger(w) @ w - identity(2)) < 1e-12
-    expected = np.array([[-0.70710678j, 0.70710678], [0.70710678j, 0.70710678]])
-    assert max_abs(w - expected) < 1e-6
-    # the change of basis maps one flavor's vectors onto the other's
     v_st = protected_basis("singlet_triplet")
     v_om = protected_basis("omega")
+    m = dagger(v_om) @ v_st
+    w = partial_trace(m, (2, 2), {0}) / 2.0
+    assert max_abs(m - np.kron(w, identity(2))) < 1e-12
+    assert max_abs(dagger(w) @ w - identity(2)) < 1e-12
+    expected = np.array([[0.70710678j, 0.70710678], [-0.70710678j, 0.70710678]])
+    assert max_abs(w - expected) < 1e-6
+    # the change of basis maps one flavor's vectors onto the other's
     assert max_abs(v_om @ np.kron(w, identity(2)) - v_st) < 1e-12

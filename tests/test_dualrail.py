@@ -351,6 +351,16 @@ def random_register_states(config, batch, seed):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
+@pytest.mark.parametrize("pair", [(1, 1), (2, 2), (1, 3), (0, 2)], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_leakage_rejects_every_pair_the_projector_rejects(pair):
+    # a pair of one mode twice has no unit-excitation sector to weigh
+    config = FockConfig(2, 2)
+    with pytest.raises(ValueError):
+        dual_rail_projector(config, *pair)
+    with pytest.raises(ValueError):
+        leakage(fock_state(config, (0, 1)), config, [pair])
+
+
 @pytest.mark.parametrize("num_modes, batch", [(2, (256,)), (4, (7,)), (4, (3, 5)), (2, (0,))])
 def test_stacked_leakage_equals_per_row_calls(num_modes, batch):
     config = FockConfig(num_modes, 2)

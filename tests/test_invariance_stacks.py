@@ -161,6 +161,29 @@ def test_repetition_stacks_are_sensitive(trials, seed, monkeypatch):
         assert abs(got[name] - dev) <= 1e-12, name
 
 
+def aligned_projector_frame():
+    """Z = |000><000| with X, Y on the first qubit: not a qubit frame, but
+    unlike bit-flip-symmetric observables it tells encode(c0, c1) from
+    encode(c1, c0) = X1 X2 X3 encode(c0, c1)."""
+    frame = qubit_one_frame(3)
+    aligned = np.zeros((8, 8), dtype=complex)
+    aligned[0, 0] = 1.0
+    return EncodedQubitFrame(support=frame.support, x=frame.x, y=frame.y, z=aligned)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_repetition_stacks_keep_the_amplitude_order(trials, seed, monkeypatch):
+    frame, channel = aligned_projector_frame(), miscorrecting_channel()
+    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
+    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
+    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    expected = repetition_oracle(trials, seed, frame, channel)
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert abs(got[name] - dev) <= 1e-12, name
+
+
 def collective_names():
     return {f"collective_unitary_expectation_invariance_{f}" for f in col.FLAVORS}
 

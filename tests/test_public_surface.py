@@ -17,7 +17,11 @@ that only tests call belongs with the tests.
 
 Two more rules hold state to what is read: every field of a package
 dataclass has an attribute read of its name in live package code, and no
-module of the package or of the tests imports a name it never reads.
+module of the package or of the tests imports a name it never reads.  A
+last rule keeps one way from a subsystem to its frame: inside the package,
+only ``frames.frame_from_isometry`` and the algebra suite's abstract-qubit
+family, which builds the plain and the deliberately broken 2x2 frames,
+call ``EncodedQubitFrame``.
 """
 
 import ast
@@ -225,3 +229,36 @@ def test_an_unread_import_is_reported(tmp_path):
     path.write_text("from __future__ import annotations\nimport os.path\n"
                     "from math import pi, tau\n__all__ = ['tau']\nVALUE = os.sep\n")
     assert unread_imports(path) == ["pi (line 3)"]
+
+
+# The one frame builder, and the family that builds the abstract and the
+# deliberately broken 2x2 frames with no isometry behind them
+FRAME_CONSTRUCTORS = ("frames.frame_from_isometry", "suites._algebra_abstract_qubit")
+
+
+def frame_constructions(modules):
+    """"module.definition" of the top-level definition around each
+    EncodedQubitFrame(...) call in the given modules, sorted; a call at
+    module level is "module.<module>"."""
+    out = []
+    for path in modules:
+        for stmt in parse(path).body:
+            context = getattr(stmt, "name", "<module>")
+            out += [f"{path.stem}.{context}" for node in ast.walk(stmt)
+                    if isinstance(node, ast.Call) and "EncodedQubitFrame" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return sorted(out)
+
+
+def test_only_the_frame_builder_constructs_frames():
+    assert [c for c in frame_constructions(MODULES) if c not in FRAME_CONSTRUCTORS] == []
+
+
+def test_a_frame_built_by_hand_is_reported(tmp_path):
+    path = tmp_path / "helper.py"
+    path.write_text("from . import frames as f\nfrom .frames import EncodedQubitFrame\n"
+                    "def by_name(p):\n    return EncodedQubitFrame(p, p, p, p)\n"
+                    "def by_alias(p):\n    return f.EncodedQubitFrame(p, p, p, p)\n"
+                    "DEFAULT = EncodedQubitFrame(1, 1, 1, 1)\n")
+    assert frame_constructions([path]) == ["helper.<module>", "helper.by_alias",
+                                           "helper.by_name"]

@@ -261,16 +261,15 @@ VERIFY_FRAME_READS = {
                             "pairwise_anticommutators", "squares_equal_support",
                             "observables_confined_to_support")),
 }
-# omega-only checks: the scalar identities of X and Z, and the exchange
-# sectors, which restrict X, Y and Z of the omega frame
-OMEGA_READS = {
-    "support": (),
-    "x": ("swap_equals_scalar_combination", "swap_exchanges_route_labels"),
-    "y": (),
-    "z": ("z_is_antisymmetric_triple_product",),
+# flavor-specific checks: the omega X against the pair swap and the route
+# labels, the omega Z against the triple product and the singlet-triplet Z
+# against the pair swap; the exchange sectors are built from the omega
+# isometry and read no frame member
+SCALAR_IDENTITY_READS = {
+    ("omega", "x"): ("swap_equals_scalar_combination", "swap_exchanges_route_labels"),
+    ("omega", "z"): ("z_is_antisymmetric_triple_product",),
+    ("singlet_triplet", "z"): ("swap_equals_scalar_combination",),
 }
-EXCHANGE_SECTOR_CHECKS = ("exchange_sector_frames_valid", "exchange_sector_commutes_with_sz",
-                          "exchange_sector_not_collectively_protected")
 
 
 def collective_checks_reading(flavor, member):
@@ -280,10 +279,7 @@ def collective_checks_reading(flavor, member):
     names |= {f"frame_commutes_with_noise_{flavor}",
               f"collective_unitary_expectation_invariance_{flavor}",
               "frame_generates_full_qubit_algebra"}
-    if flavor == "omega":
-        names |= set(OMEGA_READS[member])
-        if member != "support":
-            names |= set(EXCHANGE_SECTOR_CHECKS)
+    names |= set(SCALAR_IDENTITY_READS.get((flavor, member), ()))
     return {f"collective/{name}" for name in names}
 
 
