@@ -25,6 +25,16 @@ the gap for the algebras here.  The same commutant basis therefore always
 gives the same blocks, and no draw can fail to separate them.
 ``algebra_structure`` builds the commutant and the blocks of an algebra once,
 for every check that reads them.
+
+The commutant and the word span see the generators through their span
+rows: the rows s_k vh_k of the SVD of the generators and adjoints, one per
+dimension of their linear span.  A rotation of the generator list changes
+neither the singular values nor the nullspace of a stack of linear
+conditions over it, so the error-recovery words stack 16 commutant blocks
+instead of 28, and the bicommutants stack one block per commutant element
+instead of two.  A word step closes the span without an SVD when its
+projected products are within the new-direction cutoff in Frobenius norm,
+which bounds their largest singular value.
 """
 
 from __future__ import annotations
@@ -165,22 +175,47 @@ class OperatorAlgebra:
         return out
 
 
+def _row_reduced(stacked):
+    """stacked, or for a tall stack the square R of its QR factorization.
+
+    R has the same singular values and right singular vectors as the tall
+    stack, so an SVD of it never forms the tall left factor.
+    """
+    if stacked.shape[0] > stacked.shape[1]:
+        return np.linalg.qr(stacked, mode="r")
+    return stacked
+
+
 def _nullspace(stacked):
     """Orthonormal rows spanning the nullspace of stacked.
 
-    A tall stack is first reduced to the square R of its QR factorization,
-    which has the same singular values and right singular vectors, so the
-    SVD never forms the tall left factor.  The vh of a square or tall stack
-    is then square, a complete basis of the unknowns; a wide stack needs
-    the full vh for that.
+    The vh of a square or tall stack, reduced by ``_row_reduced``, is
+    square, a complete basis of the unknowns; a wide stack needs the full
+    vh for that.
     """
     rows, cols = stacked.shape
-    if rows > cols:
-        stacked = np.linalg.qr(stacked, mode="r")
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=rows < cols)
+    _, svals, vh = np.linalg.svd(_row_reduced(stacked), full_matrices=rows < cols)
     cutoff = NULLSPACE_RCOND * max(1.0, svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cutoff))
     return vh[rank:].conj()
+
+
+def _span_rows(gens):
+    """Rows s_k vh_k, as (r, n, n) matrices, of the thin SVD of the (g, n^2)
+    matrix of the generators gens.
+
+    They are the unitary rotation U^dag of the generator list, so a linear
+    condition stacked over them has the singular values and the nullspace
+    of the same condition stacked over gens.  Rows with s_k at most
+    eps n^2 s_0 hold only the round-off of linear dependences and are
+    dropped, which moves those singular values by rounding level.  The rows
+    keep their s_k, so a small independent direction stays a small
+    constraint.  An all-zero list has no rows.
+    """
+    n = gens.shape[-1]
+    _, svals, vh = np.linalg.svd(gens.reshape(len(gens), -1), full_matrices=False)
+    keep = svals > np.finfo(float).eps * n * n * svals[0]
+    return (svals[keep, None] * vh[keep]).reshape(-1, n, n)
 
 
 def commutant_basis(alg):
@@ -188,9 +223,12 @@ def commutant_basis(alg):
 
     Found as the nullspace of the stacked linear commutation constraints; for
     vec in row-major order, vec(MG - GM) = (1 (x) G^T - G (x) 1) vec(M).
+    The stack holds one block per span row of the generators and adjoints
+    (see ``_span_rows``), one per dimension of their linear span: 16 blocks
+    for the error-recovery words, whose 28 generators and adjoints span 16.
     """
     n = alg.ambient_dim
-    gens = np.array(alg.with_adjoints())
+    gens = _span_rows(np.array(alg.with_adjoints()))
     # entry (g, a, b; c, d) of the stack is delta_ac G_db - G_ac delta_bd,
     # written in place: a broadcast product would hold two more stacks
     stack = np.zeros((len(gens), n, n, n, n), dtype=complex)
@@ -317,12 +355,18 @@ def expectation(op, state):
 
 def _new_directions(candidates, basis):
     """Orthonormal rows spanning what candidates add to the span of the
-    orthonormal rows of basis."""
-    scale = max(1.0, np.max(np.linalg.norm(candidates, axis=1)))
+    orthonormal rows of basis.
+
+    A projected block whose Frobenius norm is within the cutoff adds no
+    row without an SVD: its largest singular value is at most that norm.
+    """
+    cutoff = NEW_DIRECTION_RCOND * np.max(np.linalg.norm(candidates, axis=1), initial=1.0)
     for _ in range(2):  # a second pass removes the round-off the first leaves
         candidates = candidates - (candidates @ basis.conj().T) @ basis
-    _, svals, vh = np.linalg.svd(candidates, full_matrices=False)
-    return vh[svals > NEW_DIRECTION_RCOND * scale]
+    if np.linalg.norm(candidates) <= cutoff:
+        return candidates[:0]
+    _, svals, vh = np.linalg.svd(_row_reduced(candidates), full_matrices=False)
+    return vh[svals > cutoff]
 
 
 def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
@@ -330,15 +374,19 @@ def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
 
     Words start from the identity and multiply generators and adjoints on the
     right.  The span is kept as an orthonormal basis, and each step
-    multiplies only the directions the previous one added, so a step costs
-    at most n^2 products per generator.  restrict_to, if given, is an
-    isometry whose columns frame the subspace on which the span is measured.
-    A generator with a non-finite entry gives NaN, before any SVD can fail
-    on it.
+    multiplies only the directions the previous one added by the span rows
+    of the generators and adjoints (see ``_span_rows``), one per dimension
+    of their linear span, so a step costs at most n^2 products per span
+    row.  A step whose projected products are within the cutoff in
+    Frobenius norm closes the span without an SVD.  restrict_to, if given,
+    is an isometry whose columns frame the subspace on which the span is
+    measured.  A generator with a non-finite entry gives NaN, before any
+    SVD can fail on it.
     """
     gens = np.array(alg.with_adjoints())
     if not np.isfinite(gens).all():
         return math.nan
+    gens = _span_rows(gens)
     n = alg.ambient_dim
     basis = identity(n).reshape(1, -1) / np.sqrt(n)
     new = basis

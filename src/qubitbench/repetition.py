@@ -247,9 +247,16 @@ def invariance_suite(trials, seed=0):
     channel = recovery_channel()
     obs = np.stack(frame.observables())
     errors = np.stack(_error_operators())
-    # pure-state word letters R_b E_b: each reset matches the preceding
-    # error, the only branch with nonzero amplitude
-    word_steps = np.stack(channel.ops) @ errors
+    # pure-state word letters R_b E_b, applied to rows of kets as
+    # phi @ (R_b E_b)^T: each reset matches the preceding error, the only
+    # branch with nonzero amplitude
+    word_steps = (np.stack(channel.ops) @ errors).transpose(0, 2, 1)
+    # cycle letters on rows of vec(rho): row k of cycle_steps[a] is
+    # vec(R(E_a U_k E_a)) for the k-th matrix unit U_k, so by linearity
+    # vec(rho) @ cycle_steps[a] is vec(R(E_a rho E_a))
+    units = identity(DIM * DIM).reshape(-1, DIM, DIM)
+    corrupted_units = (errors[:, None] @ units @ errors[:, None]).reshape(-1, DIM, DIM)
+    cycle_steps = channel.apply(corrupted_units).reshape(len(errors), DIM * DIM, DIM * DIM)
     # tr(rho O_k) of a stack of rho is vec(rho) . vec(O_k^T)
     obs_t = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
 
@@ -267,17 +274,17 @@ def invariance_suite(trials, seed=0):
         single_dev = max_abs(single_dev, expectations(corrupted, obs) - ref[:, None])
 
         phi = psi.copy()
-        rho = psi[:, :, None] * psi[:, None, :].conj()
+        rho = (psi[:, :, None] * psi[:, None, :].conj()).reshape(n, DIM * DIM)
         for step in range(3):
             word = lengths[:, 0] > step
-            phi[word] = (word_steps[letters[word, 0, step]] @ phi[word][:, :, None])[:, :, 0]
-            word_dev = max_abs(word_dev, expectations(phi[word], obs) - ref[word])
-
             cycle = lengths[:, 1] > step
-            e = errors[letters[cycle, 1, step]]
-            rho[cycle] = channel.apply(e @ rho[cycle] @ e)
-            channel_dev = max_abs(
-                channel_dev, (rho[cycle].reshape(-1, DIM * DIM) @ obs_t).real - ref[cycle])
+            for a in range(4):
+                rows = word & (letters[:, 0, step] == a)
+                phi[rows] = phi[rows] @ word_steps[a]
+                rows = cycle & (letters[:, 1, step] == a)
+                rho[rows] = rho[rows] @ cycle_steps[a]
+            word_dev = max_abs(word_dev, expectations(phi[word], obs) - ref[word])
+            channel_dev = max_abs(channel_dev, (rho[cycle] @ obs_t).real - ref[cycle])
 
     checks = {}
     if trials > 0:

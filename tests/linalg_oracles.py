@@ -112,6 +112,18 @@ def generated_algebra_dimension_oracle(alg, word_length=4, restrict_to=None):
     return _span_rank(words)
 
 
+def commutant_basis_oracle(alg, rcond=1e-10):
+    """Orthonormal basis of the commutant from the unreduced stack: one block
+    1 (x) G^T - G (x) 1 per generator and non-Hermitian adjoint, solved with
+    one full SVD and no reduction of the generator list."""
+    n = alg.ambient_dim
+    one = identity(n)
+    stack = np.vstack([np.kron(one, g.T) - np.kron(g, one) for g in alg.with_adjoints()])
+    _, svals, vh = np.linalg.svd(stack)
+    rank = int(np.sum(svals > rcond * max(1.0, svals[0])))
+    return list(vh[rank:].conj().reshape(-1, n, n))
+
+
 def expectations_oracle(states, ops):
     """Re <psi|O_k|psi> as one three-operand einsum over kets (..., d) and
     operators (k, d, d)."""

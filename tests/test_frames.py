@@ -39,7 +39,11 @@ from qubitbench.linalg import (
 from qubitbench.repetition import error_recovery_words
 from qubitbench.suites import SuiteConfig, run_suite
 
-from linalg_oracles import generated_algebra_dimension_oracle, random_hermitian
+from linalg_oracles import (
+    commutant_basis_oracle,
+    generated_algebra_dimension_oracle,
+    random_hermitian,
+)
 
 EXPECTED_CHECKS = (
     "hermitian_observables",
@@ -410,9 +414,10 @@ def test_conjugated_direct_sum_blocks():
     assert len(structure.commutant) == 5
 
 
-# A dense full-matrices SVD of the 1792 x 64 word-algebra stack allocates
-# about 50 MB for an unused U; the thin factorization needs a few MB.
-MEMORY_GUARD_BYTES = 16 * 2**20
+# The stack over the 16 span rows of the word algebra peaks near 2.1 MiB;
+# the 28 raw generators and adjoints reached 3.6 MiB, and a dense
+# full-matrices SVD of that stack about 50 MB for an unused U.
+MEMORY_GUARD_BYTES = 3 * 2**20
 
 
 @pytest.mark.parametrize("step", [commutant_basis, algebra_structure],
@@ -477,6 +482,72 @@ def test_block_sum_structure_matches_construction(blocks, seed):
     again = algebra_structure(alg)
     assert again.blocks == structure.blocks
     assert isotypic_decomposition(structure.commutant) == structure.blocks
+
+
+PADDING = ("duplicate", "multiple", "combination", "zero", "near_1e-9", "near_1e-11")
+
+
+def padded_generators(blocks, seed, padding):
+    """The generators of block_sum_algebra(blocks, seed), or with no blocks
+    the zero matrix on C^2, followed by one member per entry of padding.
+
+    duplicate, multiple and combination add a copy, a complex multiple and
+    a complex linear combination of earlier members, and zero the zero
+    matrix: none of them adds a direction.  near_<delta> adds a random
+    matrix scaled to delta times the largest generator norm, a direction
+    that only this member carries; 1e-9 and 1e-11 lie on either side of
+    NULLSPACE_RCOND = 1e-10.  (G + delta C for an earlier member G would
+    tilt the large span rows by delta C / 2, and they would carry the
+    small constraint on their own.)
+    """
+    rng = np.random.default_rng([seed, len(padding)])
+    gens = list(block_sum_algebra(blocks, seed).generators) if blocks else [np.zeros((2, 2))]
+    n = len(gens[0])
+    largest = max(np.linalg.norm(g) for g in gens)
+    for kind in padding:
+        g = gens[rng.integers(len(gens))]
+        coeffs = rng.standard_normal(len(gens)) + 1j * rng.standard_normal(len(gens))
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "duplicate":
+            gens.append(g.copy())
+        elif kind == "multiple":
+            gens.append(coeffs[0] * g)
+        elif kind == "combination":
+            gens.append(np.tensordot(coeffs, gens, axes=1))
+        elif kind == "zero":
+            gens.append(np.zeros((n, n)))
+        else:
+            delta = float(kind.removeprefix("near_"))
+            gens.append(delta * largest * c / np.linalg.norm(c))
+    return OperatorAlgebra(tuple(gens))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(blocks=block_shapes(max_dim=6), seed=st.integers(0, 2**32 - 1),
+       padding=st.lists(st.sampled_from(PADDING), max_size=3))
+@example(blocks=[], seed=0, padding=["zero"])
+@example(blocks=[(2, 2)], seed=2, padding=[])
+@example(blocks=[(2, 2)], seed=0, padding=["near_1e-9"])
+@example(blocks=[(1, 2), (2, 1)], seed=1, padding=["near_1e-11", "duplicate"])
+@example(blocks=[(1, 1), (1, 2)], seed=3, padding=["multiple", "combination", "zero"])
+def test_commutant_matches_unreduced_stack_oracle(blocks, seed, padding):
+    alg = padded_generators(blocks, seed, padding)
+    comm = commutant_basis(alg)
+    oracle = commutant_basis_oracle(alg)
+    assert len(comm) == len(oracle)
+    # A constraint 1e-9 above the zeros pins the nullspace only to about
+    # eps / 1e-9, in the oracle as much as in commutant_basis (seen up to
+    # 8e-8 apart over 400 random lists); every other list pins it to rounding.
+    tol = 1e-6 if "near_1e-9" in padding else 1e-12
+    assert max_abs(span_projector(comm) - span_projector(oracle)) <= tol
+    assert generated_algebra_dimension(alg) == generated_algebra_dimension_oracle(alg)
+
+
+def test_all_zero_generator_has_the_full_commutant():
+    alg = OperatorAlgebra((np.zeros((2, 2)),))
+    assert len(commutant_basis(alg)) == 4
+    assert generated_algebra_dimension(alg) == 1
+    assert algebra_structure(alg).blocks == ((2, 1),)
 
 
 def random_isometry(n, k, seed):
