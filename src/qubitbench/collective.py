@@ -11,6 +11,7 @@ columns: the protected frame of each flavor, and the sector frames available
 when only S_z and S^2 are conserved.  The rotation scalars, and the support
 projector, pair swap and antisymmetric triple product built from them, are
 a second construction that the checks compare these frames with.
+``noiseless_invariance_suite`` measures the frames its caller built.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ import numpy as np
 
 from .frames import frame_from_isometry
 from .linalg import (
-    INPUT_ROUNDING,
     basis_state,
     commutator,
     dagger,
     embed,
     expectations,
     identity,
-    is_hermitian,
     kron,
     max_abs,
     partial_trace,
@@ -45,7 +44,6 @@ __all__ = [
     "FLAVORS",
     "collective_ops",
     "total_spin_ops",
-    "no_invariant_state_check",
     "joint_kernel_dimension",
     "protected_basis",
     "scalars",
@@ -55,7 +53,6 @@ __all__ = [
     "pauli_coefficients",
     "noiseless_frame",
     "noiseless_invariance_suite",
-    "purity_of_protected_qubit",
     "exchange_sector_frames",
 ]
 
@@ -65,10 +62,8 @@ FLAVORS = ("singlet_triplet", "omega")
 
 _PAULIS = (sigma_x, sigma_y, sigma_z)
 
-# A singular value of the stacked generators below this counts as a kernel
-# direction; the gap to the first one above it must be at least the split.
+# Singular values of the stacked generators below this are kernel directions
 KERNEL_SV_THRESHOLD = 1e-8
-MIN_KERNEL_SPLIT = 1e-4
 
 
 @functools.cache
@@ -106,24 +101,6 @@ def joint_kernel_dimension(n_spins):
     top = float(below.max()) if below.size else 0.0
     bottom = float(above.min()) if above.size else np.inf
     return dim, bottom - top
-
-
-def no_invariant_state_check():
-    """No three-spin state is annihilated by all collective generators.
-
-    Contrasts with two spins (one invariant state, the pair singlet) and
-    four spins (a two-dimensional invariant subspace).  Returns the named
-    deviations of the kernel dimension and of the split margin from
-    MIN_KERNEL_SPLIT, per spin count.
-    """
-    expected = {3: 0, 2: 1, 4: 2}
-    checks = {}
-    for n in (3, 2, 4):
-        dim, margin = joint_kernel_dimension(n)
-        checks[f"joint_kernel_dim_{n}_spins"] = abs(dim - expected[n])
-        checks[f"kernel_split_margin_{n}_spins"] = float(
-            np.maximum(0.0, MIN_KERNEL_SPLIT - margin))
-    return checks
 
 
 def _ket(bits):
@@ -245,9 +222,9 @@ def _collective_unitaries(theta):
     return (rr[:, :, None, :, None] * r[:, None, :, None, :]).reshape(-1, DIM, DIM)
 
 
-def noiseless_invariance_suite(trials, seed=0):
-    """Protection evidence for both flavors of the three-spin qubit, as an
-    ordered dict from check name to deviation.
+def noiseless_invariance_suite(frames, trials, seed):
+    """Protection evidence for frames, a dict from flavor to frame, as an
+    ordered dict from check name to deviation in the order of frames.
 
     Static part: every frame member commutes with every collective
     generator, and in protected coordinates each generator is 1 (x) B with
@@ -265,8 +242,7 @@ def noiseless_invariance_suite(trials, seed=0):
     generators = collective_ops(N_SPINS)
     rng = np.random.default_rng(seed)
     checks = {}
-    for flavor in FLAVORS:
-        frame = noiseless_frame(flavor)
+    for flavor, frame in frames.items():
         members = np.stack(frame.observables() + (frame.support,))
 
         checks[f"frame_commutes_with_noise_{flavor}"] = max_abs(
@@ -293,31 +269,6 @@ def noiseless_invariance_suite(trials, seed=0):
                 dev = max_abs(dev, expectations(phi, members) - expectations(psi, members))
             checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
     return checks
-
-
-def purity_of_protected_qubit(psi_q, rho_gauge, flavor, factor="qubit"):
-    """Purity of one factor of |psi><psi| (x) rho_gauge embedded in 8 dims.
-
-    The qubit factor must come out pure regardless of the gauge state; with
-    factor="gauge" the gauge state's own purity is recovered instead.
-    """
-    psi_q = np.asarray(psi_q, dtype=complex)
-    rho_gauge = np.asarray(rho_gauge, dtype=complex)
-    if psi_q.shape != (2,) or abs(np.linalg.norm(psi_q) - 1.0) > INPUT_ROUNDING:
-        raise ValueError("psi_q must be a normalized 2-dim amplitude vector")
-    if rho_gauge.shape != (2, 2):
-        raise ValueError("rho_gauge must be 2x2")
-    if abs(np.trace(rho_gauge) - 1.0) > INPUT_ROUNDING or not is_hermitian(rho_gauge):
-        raise ValueError("rho_gauge must be Hermitian with unit trace")
-    if factor not in ("qubit", "gauge"):
-        raise ValueError(f"factor must be 'qubit' or 'gauge', got {factor!r}")
-    v = protected_basis(flavor)
-    rho4 = kron(np.outer(psi_q, psi_q.conj()), rho_gauge)
-    rho8 = v @ rho4 @ dagger(v)
-    back = dagger(v) @ rho8 @ v
-    keep = {0} if factor == "qubit" else {1}
-    reduced = partial_trace(back, (2, 2), keep)
-    return float(np.real(np.trace(reduced @ reduced)))
 
 
 def exchange_sector_frames():

@@ -36,6 +36,7 @@ __all__ = [
     "FockConfig",
     "fock_state",
     "index_of_occupations",
+    "occupation_table",
     "annihilation",
     "creation",
     "number",
@@ -49,6 +50,7 @@ __all__ = [
     "logical_pairs",
     "prepare_logical",
     "photodetect",
+    "born_distribution",
 ]
 
 

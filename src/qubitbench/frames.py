@@ -369,7 +369,7 @@ def _new_directions(candidates, basis):
     return vh[svals > cutoff]
 
 
-def generated_algebra_dimension(alg, word_length=4, restrict_to=None):
+def generated_algebra_dimension(alg, word_length, restrict_to=None):
     """Linear dimension of the span of generator words up to word_length.
 
     Words start from the identity and multiply generators and adjoints on the

@@ -224,7 +224,7 @@ def error_recovery_words():
     return types.MappingProxyType(words)
 
 
-def invariance_suite(trials, seed=0):
+def invariance_suite(trials, seed):
     """Randomized evidence that the error-built frame ignores the noise, as
     an ordered dict from check name to deviation.
 

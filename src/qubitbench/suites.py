@@ -2,17 +2,18 @@
 
 Each suite runner returns (name, deviation) pairs, produced in order by the
 check families of its suite in ``_FAMILIES``.  A family is a small generator
-over one namespace shared by the suite's run: the configuration, the heavy
-inputs the runner builds once and the family's own random stream.  Its
-docstring is its ``--describe`` text.  The structure of each paper algebra
-(commutant and isotypic blocks) is built at most once per report, on first
-use, and shared by every suite of the report.  A family measures its
-residuals with ``linalg.max_abs``, one call over all the parts of a check
-(or a running ``dev = max_abs(dev, residual)`` over trial stacks), so a NaN
-anywhere reaches the check; no family sees the tolerance.  ``run_suite``
-adds the suite prefix and is the one place that judges a deviation against
-it.  All randomness is derived from the master seed and the family's name,
-so the samples of a family do not depend on what any other family draws, and
+that measures its checks over one namespace shared by the suite's run: the
+configuration, the heavy inputs the runner builds once and the family's own
+random stream.  A bound that defines a check sits next to its family, and the
+family's docstring is its ``--describe`` text.  The structure of each paper
+algebra (commutant and isotypic blocks) is built at most once per report, on
+first use, and shared by every suite of the report.  A family measures its
+residuals with ``linalg.max_abs``, one call over all the parts of a check (or
+a running ``dev = max_abs(dev, residual)`` over trial stacks), so a NaN
+anywhere reaches the check; no family sees the tolerance.  ``run_suite`` adds
+the suite prefix and is the one place that judges a deviation against it.
+All randomness is derived from the master seed and the family's name, so the
+samples of a family do not depend on what any other family draws, and
 identical configurations reproduce identical numbers.
 """
 
@@ -57,7 +58,7 @@ from .linalg import (
     trial_chunks,
 )
 
-__all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite", "describe"]
+__all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite", "render_text", "describe"]
 
 SUITE_NAMES = ("bosonic", "repetition", "collective", "algebra", "all")
 
@@ -423,11 +424,19 @@ def _collective_total_spin(s):
     yield "aligned_state_sz_eigenvalue", max_abs(sz @ aligned - 1.5 * aligned)
 
 
+# Least singular-value gap at collective.KERNEL_SV_THRESHOLD
+MIN_KERNEL_SPLIT = 1e-4
+
+
 def _collective_joint_kernel(s):
     """No state of three spins is annihilated by S_x, S_y and S_z; two spins
-    have one such state and four spins two.  The singular-value gap at the
-    kernel threshold must be at least 1e-4."""
-    yield from col.no_invariant_state_check().items()
+    have one such state and four spins two.  For each, the singular-value
+    gap at the kernel threshold must be at least MIN_KERNEL_SPLIT = 1e-4."""
+    for n, expected in ((3, 0), (2, 1), (4, 2)):
+        dim, margin = col.joint_kernel_dimension(n)
+        yield f"joint_kernel_dim_{n}_spins", abs(dim - expected)
+        # np.maximum, not max, so that a NaN margin fails
+        yield f"kernel_split_margin_{n}_spins", float(np.maximum(0.0, MIN_KERNEL_SPLIT - margin))
 
 
 def _collective_scalars(s):
@@ -488,7 +497,7 @@ def _collective_invariance(s):
     coordinates each S_alpha is 1 (x) B with 2B a unit real Pauli
     combination; frame expectations are invariant under trials random
     collective unitaries."""
-    yield from col.noiseless_invariance_suite(s.trials, s.rng).items()
+    yield from col.noiseless_invariance_suite(s.frames, s.trials, s.rng).items()
 
 
 def _collective_purity(s):
@@ -496,13 +505,15 @@ def _collective_purity(s):
     and its gauge factor keeps the purity of rho_gauge."""
     dev = 0.0
     for flavor in col.FLAVORS:
+        v = col.protected_basis(flavor)
         for rho_g in (identity(2) / 2.0,
                       np.diag([1.0, 0.0]).astype(complex),
                       np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)):
             psi_q = random_haar_state(2, s.rng)
-            qubit_purity = col.purity_of_protected_qubit(psi_q, rho_g, flavor)
-            gauge_purity = col.purity_of_protected_qubit(psi_q, rho_g, flavor, factor="gauge")
-            dev = max_abs(dev, qubit_purity - 1.0, gauge_purity - np.trace(rho_g @ rho_g).real)
+            back = dagger(v) @ (v @ kron(density(psi_q), rho_g) @ dagger(v)) @ v
+            qubit, gauge = (partial_trace(back, (2, 2), {k}) for k in (0, 1))
+            dev = max_abs(dev, np.trace(qubit @ qubit).real - 1.0,
+                          np.trace(gauge @ gauge).real - np.trace(rho_g @ rho_g).real)
     yield "protected_qubit_stays_pure", dev
 
 

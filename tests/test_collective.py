@@ -1,9 +1,13 @@
 """Three spins under collective noise: total-spin algebra, the protected
 two-route subsystem, and the gauge factor it is paired with."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qubitbench import collective as col
+from qubitbench import suites
 from qubitbench.collective import (
     FLAVORS,
     _collective_unitaries,
@@ -12,12 +16,10 @@ from qubitbench.collective import (
     exchange_12,
     exchange_sector_frames,
     joint_kernel_dimension,
-    no_invariant_state_check,
     noiseless_frame,
     noiseless_invariance_suite,
     pauli_coefficients,
     protected_basis,
-    purity_of_protected_qubit,
     scalars,
     support_projector,
     total_spin_ops,
@@ -32,7 +34,6 @@ from qubitbench.linalg import (
     kron_all,
     max_abs,
     partial_trace,
-    random_haar_state,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -88,7 +89,7 @@ def test_two_spin_kernel_is_the_pair_singlet():
 
 
 def test_no_invariant_state_report():
-    report = no_invariant_state_check()
+    report = dict(suites._collective_joint_kernel(SimpleNamespace()))
     assert max(report.values()) <= 1e-9
     names = set(report)
     for n in (2, 3, 4):
@@ -303,22 +304,20 @@ def test_collective_unitaries_match_evolve():
 
 
 def test_invariance_suite_runs_green():
-    report = noiseless_invariance_suite(10, seed=4)
+    frames = {flavor: noiseless_frame(flavor) for flavor in FLAVORS}
+    report = noiseless_invariance_suite(frames, 10, seed=4)
     assert max(report.values()) <= 1e-9
-    assert list(report.items()) == list(noiseless_invariance_suite(10, seed=4).items())
+    assert list(report.items()) == list(noiseless_invariance_suite(frames, 10, seed=4).items())
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
-def test_protected_qubit_purity(flavor):
-    psi_q = random_haar_state(2, 21)
-    for rho_g in (identity(2) / 2.0,
-                  np.diag([0.2, 0.8]).astype(complex)):
-        assert purity_of_protected_qubit(psi_q, rho_g, flavor) \
-            == pytest.approx(1.0, abs=1e-12)
-        gauge = purity_of_protected_qubit(psi_q, rho_g, flavor, factor="gauge")
-        assert gauge == pytest.approx(np.trace(rho_g @ rho_g).real, abs=1e-12)
-    with pytest.raises(ValueError):
-        purity_of_protected_qubit(psi_q, identity(2) / 2.0, flavor, factor="other")
+def test_protected_qubit_purity(flavor, monkeypatch):
+    # the family's deviation is the largest of |qubit purity - 1| and
+    # |gauge purity - tr(rho_g^2)| over its gauge states
+    monkeypatch.setattr(col, "FLAVORS", (flavor,))
+    [(name, dev)] = suites._collective_purity(SimpleNamespace(rng=np.random.default_rng(21)))
+    assert name == "protected_qubit_stays_pure"
+    assert dev <= 1e-12
 
 
 def test_exchange_sector_frames_are_partial():

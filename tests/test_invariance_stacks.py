@@ -12,6 +12,7 @@ check evolves and measures whole stacks, one leakage call per stack and
 generator.
 """
 
+import functools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -184,6 +185,10 @@ def test_repetition_stacks_keep_the_amplitude_order(trials, seed, monkeypatch):
         assert abs(got[name] - dev) <= 1e-12, name
 
 
+def noiseless_frames():
+    return {flavor: col.noiseless_frame(flavor) for flavor in col.FLAVORS}
+
+
 def collective_names():
     return {f"collective_unitary_expectation_invariance_{f}" for f in col.FLAVORS}
 
@@ -191,7 +196,8 @@ def collective_names():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
 def test_collective_stacks_match_per_trial_oracle(trials, seed):
-    got = randomized(col.noiseless_invariance_suite(trials, seed), collective_names())
+    got = randomized(col.noiseless_invariance_suite(noiseless_frames(), trials, seed),
+                     collective_names())
     expected = collective_oracle(trials, seed, col.noiseless_frame)
     assert got.keys() == expected.keys()
     for name, dev in expected.items():
@@ -201,10 +207,10 @@ def test_collective_stacks_match_per_trial_oracle(trials, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
-def test_collective_stacks_are_sensitive(trials, seed, monkeypatch):
+def test_collective_stacks_are_sensitive(trials, seed):
     frame = qubit_one_frame(3)
-    monkeypatch.setattr(col, "noiseless_frame", lambda flavor: frame)
-    got = randomized(col.noiseless_invariance_suite(trials, seed), collective_names())
+    frames = {flavor: frame for flavor in col.FLAVORS}
+    got = randomized(col.noiseless_invariance_suite(frames, trials, seed), collective_names())
     expected = collective_oracle(trials, seed, lambda flavor: frame)
     assert got.keys() == expected.keys()
     for name, dev in expected.items():
@@ -340,12 +346,14 @@ MEMORY_GUARD_BYTES = 4 * 2**20
 @pytest.mark.parametrize("suite", [rep.invariance_suite, col.noiseless_invariance_suite],
                          ids=lambda f: f.__name__)
 def test_invariance_suite_peak_memory_guard(suite):
-    suite(1)  # builds the shared constants outside the measurement
+    if suite is col.noiseless_invariance_suite:
+        suite = functools.partial(suite, noiseless_frames())
+    suite(1, 0)  # builds the shared constants outside the measurement
     peaks = {}
     for trials in (1_000, 10_000):
         tracemalloc.start()
         try:
-            suite(trials)
+            suite(trials, 0)
             _, peaks[trials] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

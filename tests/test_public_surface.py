@@ -17,8 +17,11 @@ that only tests call belongs with the tests.
 
 Two more rules hold state to what is read: every field of a package
 dataclass has an attribute read of its name in live package code, and no
-module of the package or of the tests imports a name it never reads.  A
-last rule keeps one way from a subsystem to its frame: inside the package,
+module of the package or of the tests imports a name it never reads.  The
+reverse of the first rule also holds: a module of the package reads another
+one's names, by ``from .module import name`` or by ``alias.name``, only when
+they are in that module's ``__all__``.  A last rule keeps one way from a
+subsystem to its frame: inside the package,
 only ``frames.frame_from_isometry`` and the algebra suite's abstract-qubit
 family, which builds the plain and the deliberately broken 2x2 frames,
 call ``EncodedQubitFrame``.
@@ -161,6 +164,44 @@ def test_a_public_name_without_a_reader_is_reported(sources, unread, tmp_path):
         modules.append(tmp_path / f"{name}.py")
         modules[-1].write_text(source)
     assert unread_public_names(modules, {("helper", "traced")}) == unread
+
+
+def private_cross_module_reads(modules):
+    """"module.name (read by reader)" for every name that one of the given
+    modules reads from another of them and that is not in its __all__."""
+    trees = {path.stem: parse(path) for path in modules}
+    public = {module: set(public_names(tree)) for module, tree in trees.items()}
+    out = set()
+    for reader, tree in trees.items():
+        _, aliases = imported_bindings(tree, set(trees))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                read = [(node.module, alias.name) for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                read = [(aliases[node.value.id], node.attr)]
+            else:
+                continue
+            out.update(f"{module}.{name} (read by {reader})" for module, name in read
+                       if name not in public[module])
+    return sorted(out)
+
+
+def test_cross_module_reads_name_public_names():
+    assert private_cross_module_reads(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_a_private_cross_module_read_is_reported(tmp_path):
+    (tmp_path / "helper.py").write_text(
+        '__all__ = ["shared"]\n'
+        "def shared():\n    return 1\n"
+        "def hidden():\n    return 2\n"
+        "def _private():\n    return 3\n")
+    (tmp_path / "user.py").write_text(
+        "import numpy as np\nfrom . import helper as h\nfrom .helper import shared, hidden\n"
+        "VALUE = shared() + hidden() + h.shared() + h._private() + np.hidden\n")
+    assert private_cross_module_reads([tmp_path / "helper.py", tmp_path / "user.py"]) == [
+        "helper._private (read by user)", "helper.hidden (read by user)"]
 
 
 def dataclass_fields(tree):

@@ -319,3 +319,26 @@ def test_a_nan_kernel_margin_fails_the_margin_checks(monkeypatch):
     assert [c["name"] for c in failed] == [
         f"collective/kernel_split_margin_{n}_spins" for n in (3, 2, 4)]
     assert all(math.isnan(c["max_deviation"]) for c in failed)
+
+
+def test_a_collective_report_builds_each_noiseless_frame_once(monkeypatch):
+    exact, built = col.noiseless_frame, []
+
+    def counting(flavor):
+        built.append(flavor)
+        return exact(flavor)
+
+    monkeypatch.setattr(col, "noiseless_frame", counting)
+    run_suite(SuiteConfig(suite="collective"))
+    assert sorted(built) == sorted(col.FLAVORS)
+
+
+def test_a_scaled_protected_basis_breaks_the_purity_check(monkeypatch):
+    # V^dag V = 1.01^2 on the scaled basis, so the state read back in
+    # protected coordinates is 1.01^4 times the exact one and its purity
+    # 1.01^8 times
+    exact = col.protected_basis
+    monkeypatch.setattr(col, "protected_basis", lambda flavor: 1.01 * exact(flavor))
+    [(_, dev)] = suites._collective_purity(SimpleNamespace(rng=np.random.default_rng(0)))
+    assert dev > SuiteConfig().tolerance
+    assert dev == pytest.approx(1.01 ** 8 - 1.0, abs=1e-12)
