@@ -31,7 +31,6 @@ from .linalg import (
     dagger,
     density,
     embed,
-    expectations,
     identity,
     max_abs,
     random_haar_state,
@@ -224,6 +223,62 @@ def error_recovery_words():
     return types.MappingProxyType(words)
 
 
+def _code_tables(frame, channel):
+    """Every randomized expectation of invariance_suite as a linear function
+    of a trial's code amplitudes, K_0 = |000>, K_1 = |111>.
+
+    A trial c_0 K_0 + c_1 K_1 reads each expectation as
+    Re sum_ij conj(c_i) c_j t_ij, the real Frobenius product of its code
+    density matrix c c^dag with a block t, stored flat as (k, 4) at 2 i + j
+    for the frame observables O_k.  Returned:
+      - single (4, k, 4): t_ij = <E_a K_i|O_k|E_a K_j>; E_0 = 1 gives the
+        reference;
+      - words (85, k, 4): t_ij = <W K_i|O_k|W K_j> for every word W of at
+        most three letters R_b E_b;
+      - cycles (85, k, 4): t_ij = tr(C(|K_j><K_i|) O_k) for every cycle C of
+        at most three letters rho -> R(E_a rho E_a).
+    Words and cycles are numbered as a 4-ary heap: 0 is the empty one, and
+    letter b after prefix p is 4 p + 1 + b.  Each letter is linear, so one
+    product per length carries both code kets, and all four code units,
+    through every prefix of that length.
+    """
+    obs = np.stack(frame.observables())
+    errors = np.stack(_error_operators())
+    code = np.stack([logical_zero(), logical_one()])
+
+    def blocks(kets):
+        # (..., 2, DIM) rows of kets -> (..., k, 4) blocks <K_i|O_k|K_j>
+        t = kets.conj()[..., None, :, :] @ obs @ kets[..., None, :, :].swapaxes(-1, -2)
+        return t.reshape(*t.shape[:-2], 4)
+
+    # the four word letters R_b E_b side by side, applied to rows of kets as
+    # phi @ (R_b E_b)^T: each reset matches the preceding error, the only
+    # branch with nonzero amplitude
+    word_letters = (np.stack(channel.ops) @ errors).transpose(2, 0, 1).reshape(DIM, 4 * DIM)
+    # the four cycle letters side by side on rows of vec(rho): row m of
+    # letter a is vec(R(E_a U_m E_a)) for the m-th matrix unit U_m
+    units = identity(DIM * DIM).reshape(-1, DIM, DIM)
+    corrupted = (errors[:, None] @ units @ errors[:, None]).reshape(-1, DIM, DIM)
+    cycle_letters = (channel.apply(corrupted).reshape(4, DIM * DIM, DIM * DIM)
+                     .swapaxes(0, 1).reshape(DIM * DIM, 4 * DIM * DIM))
+    # tr(rho O_k) of rows of vec(rho) is vec(rho) . vec(O_k^T)
+    obs_t = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
+
+    kets = code[None]
+    # row 2 i + j is vec(|K_j><K_i|), the unit that carries conj(c_i) c_j
+    rhos = (code[None, :, :, None] * code.conj()[:, None, None, :]).reshape(1, 4, DIM * DIM)
+    words, cycles = [blocks(kets)], [(rhos @ obs_t).swapaxes(1, 2)]
+    for _ in range(3):
+        kets = (kets.reshape(-1, DIM) @ word_letters).reshape(-1, 2, 4, DIM)
+        kets = kets.swapaxes(1, 2).reshape(-1, 2, DIM)
+        words.append(blocks(kets))
+        rhos = (rhos.reshape(-1, DIM * DIM) @ cycle_letters).reshape(-1, 4, 4, DIM * DIM)
+        rhos = rhos.swapaxes(1, 2).reshape(-1, 4, DIM * DIM)
+        cycles.append((rhos @ obs_t).swapaxes(1, 2))
+    single = blocks((errors @ code.T).swapaxes(1, 2))
+    return single, np.concatenate(words), np.concatenate(cycles)
+
+
 def invariance_suite(trials, seed):
     """Randomized evidence that the error-built frame ignores the noise, as
     an ordered dict from check name to deviation.
@@ -238,56 +293,46 @@ def invariance_suite(trials, seed):
     draws from seed, an integer or a np.random.Generator drawn in place,
     the amplitudes random_haar_state(2, rng, n), then the word and cycle
     lengths (n, 2) in 1..3, then the letters (n, 2, 3), of which a trial
-    uses as many as its length.
+    uses as many as its length.  The frame and the recovery channel are
+    read at call time.  Every trial lies in the code space and every letter
+    is linear, so for trials > 0 the code kets and code units go through
+    each word and cycle prefix once (_code_tables), and a trial reads each
+    expectation, after every letter up to its length, as a product of its
+    2 x 2 code density matrix with the table block of its prefix.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     rng = np.random.default_rng(seed)
     frame = frame_from_errors()
-    channel = recovery_channel()
-    obs = np.stack(frame.observables())
-    errors = np.stack(_error_operators())
-    # pure-state word letters R_b E_b, applied to rows of kets as
-    # phi @ (R_b E_b)^T: each reset matches the preceding error, the only
-    # branch with nonzero amplitude
-    word_steps = (np.stack(channel.ops) @ errors).transpose(0, 2, 1)
-    # cycle letters on rows of vec(rho): row k of cycle_steps[a] is
-    # vec(R(E_a U_k E_a)) for the k-th matrix unit U_k, so by linearity
-    # vec(rho) @ cycle_steps[a] is vec(R(E_a rho E_a))
-    units = identity(DIM * DIM).reshape(-1, DIM, DIM)
-    corrupted_units = (errors[:, None] @ units @ errors[:, None]).reshape(-1, DIM, DIM)
-    cycle_steps = channel.apply(corrupted_units).reshape(len(errors), DIM * DIM, DIM * DIM)
-    # tr(rho O_k) of a stack of rho is vec(rho) . vec(O_k^T)
-    obs_t = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
-
-    single_dev = 0.0
-    word_dev = 0.0
-    channel_dev = 0.0
-    for n in trial_chunks(trials):
-        c = random_haar_state(2, rng, n)
-        lengths = rng.integers(1, 4, size=(n, 2))
-        letters = rng.integers(0, 4, size=(n, 2, 3))
-        psi = encode(c[:, 0], c[:, 1])
-        ref = expectations(psi, obs)
-
-        corrupted = (errors @ psi.T).transpose(2, 0, 1)
-        single_dev = max_abs(single_dev, expectations(corrupted, obs) - ref[:, None])
-
-        phi = psi.copy()
-        rho = (psi[:, :, None] * psi[:, None, :].conj()).reshape(n, DIM * DIM)
-        for step in range(3):
-            word = lengths[:, 0] > step
-            cycle = lengths[:, 1] > step
-            for a in range(4):
-                rows = word & (letters[:, 0, step] == a)
-                phi[rows] = phi[rows] @ word_steps[a]
-                rows = cycle & (letters[:, 1, step] == a)
-                rho[rows] = rho[rows] @ cycle_steps[a]
-            word_dev = max_abs(word_dev, expectations(phi[word], obs) - ref[word])
-            channel_dev = max_abs(channel_dev, (rho[cycle] @ obs_t).real - ref[cycle])
-
     checks = {}
     if trials > 0:
+        single, word_blocks, cycle_blocks = _code_tables(frame, recovery_channel())
+        # Re sum_ij conj(r_ij) t_ij is the dot of r and t as real vectors
+        tables = np.concatenate([single, word_blocks, cycle_blocks]).view(float)
+        offsets = np.array([[len(single)], [len(single) + len(word_blocks)]])
+        steps = np.arange(3)
+        single_dev = word_dev = channel_dev = 0.0
+        for n in trial_chunks(trials):
+            c = random_haar_state(2, rng, n)
+            lengths = rng.integers(1, 4, size=(n, 2))
+            letters = rng.integers(0, 4, size=(n, 2, 3))
+            # the rows each trial reads: the four single errors, then its
+            # word and its cycle prefix after each step
+            prefix = np.empty((n, 2, 3), dtype=int)
+            node = 0
+            for step in steps:
+                node = 4 * node + 1 + letters[:, :, step]
+                prefix[:, :, step] = node
+            rows = np.concatenate([np.broadcast_to(np.arange(4), (n, 4)),
+                                   (prefix + offsets).reshape(n, 6)], axis=1)
+            rho = (c[:, :, None] * c.conj()[:, None, :]).reshape(n, 4).view(float)
+            # one contraction for every row, so equal blocks read equal values
+            reads = np.einsum("nv,nrkv->nrk", rho, tables[rows])
+            dev = reads - reads[:, :1]
+            run = lengths[:, :, None] > steps
+            single_dev = max_abs(single_dev, dev[:, :4])
+            word_dev = max_abs(word_dev, dev[:, 4:7][run[:, 0]])
+            channel_dev = max_abs(channel_dev, dev[:, 7:][run[:, 1]])
         checks["single_error_expectation_invariance"] = single_dev
         checks["recovered_word_expectation_invariance"] = word_dev
         checks["error_then_recovery_channel_invariance"] = channel_dev

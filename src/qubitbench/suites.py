@@ -394,8 +394,10 @@ def _repetition_protected_expectation(s):
 
 def _repetition_invariance(s):
     """Frame expectations are unchanged by single errors, by recovered
-    words and by error-then-recovery cycles on trials random encoded states;
-    the frame commutes with every word E_b R_a."""
+    words and by error-then-recovery cycles of up to three letters on trials
+    random encoded states, each read after every letter as a quadratic form
+    in the state's two code amplitudes; the frame commutes with every word
+    E_b R_a."""
     yield from rep.invariance_suite(s.trials, s.rng).items()
 
 

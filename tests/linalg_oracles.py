@@ -5,7 +5,8 @@ import numpy as np
 
 from qubitbench.collective import scalars
 from qubitbench.dualrail import annihilation, creation, dual_rail_projector, number
-from qubitbench.linalg import dagger, identity, max_abs
+from qubitbench.linalg import KrausChannel, dagger, identity, max_abs
+from qubitbench.repetition import error_operator
 
 
 def is_unitary(a, tol=1e-9):
@@ -29,6 +30,23 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (z + dagger(z)) / 2.0
+
+
+def random_kraus_channel(dim, n_ops, seed):
+    """n_ops Kraus operators cut from a seeded random (n_ops dim, dim)
+    isometry V: sum_a K_a^dag K_a = V^dag V = 1, so the channel is trace
+    preserving by construction."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_ops * dim, dim)) + 1j * rng.standard_normal((n_ops * dim, dim))
+    v, _ = np.linalg.qr(z)
+    return KrausChannel(tuple(v.reshape(n_ops, dim, dim)))
+
+
+def miscorrecting_channel():
+    """K_a = E_(a+1 mod 4) / 2 on the three-bit code: trace preserving, but
+    the branch that follows the error E_a applies the next error instead of
+    undoing it."""
+    return KrausChannel(tuple(error_operator((a + 1) % 4) / 2.0 for a in range(4)))
 
 
 def occupations_of_index(config, index):

@@ -27,7 +27,6 @@ from qubitbench.suites import SuiteConfig, run_suite
 from qubitbench.frames import EncodedQubitFrame
 from qubitbench.linalg import (
     TRIAL_CHUNK,
-    KrausChannel,
     child_seed,
     density,
     embed,
@@ -40,7 +39,7 @@ from qubitbench.linalg import (
     sigma_z,
 )
 
-from linalg_oracles import random_hermitian
+from linalg_oracles import miscorrecting_channel, random_hermitian, random_kraus_channel
 
 TRIALS = (1, 7, TRIAL_CHUNK + 3)
 SEEDS = (0, 1, 3)
@@ -128,12 +127,6 @@ def qubit_one_frame(n_sites):
         y=embed(sigma_y, 0, n_sites), z=embed(sigma_z, 0, n_sites))
 
 
-def miscorrecting_channel():
-    """K_a = E_(a+1 mod 4) / 2: trace preserving, but the branch that follows
-    the error E_a applies the next error instead of undoing it."""
-    return KrausChannel(tuple(rep.error_operator((a + 1) % 4) / 2.0 for a in range(4)))
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
 def test_repetition_stacks_match_per_trial_oracle(trials, seed):
@@ -152,6 +145,31 @@ def test_repetition_stacks_are_sensitive(trials, seed, monkeypatch):
     # whatever the frame; only a recovery that miscorrects lets the
     # unprotected frame show in those two checks.
     frame, channel = qubit_one_frame(3), miscorrecting_channel()
+    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
+    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
+    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    expected = repetition_oracle(trials, seed, frame, channel)
+    assert got.keys() == expected.keys()
+    for name, dev in expected.items():
+        assert got[name] > 0.1, name
+        assert abs(got[name] - dev) <= 1e-12, name
+
+
+def random_frame(seed):
+    """Three unrelated random Hermitian observables: no symmetry of the code,
+    the errors or the recovery relates their expectations."""
+    x, y, z = (random_hermitian(8, seed + k) for k in range(3))
+    return EncodedQubitFrame(support=identity(8), x=x, y=y, z=z)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", TRIALS)
+def test_repetition_stacks_match_the_oracle_for_any_channel_and_frame(trials, seed, monkeypatch):
+    # The suite reads every trial off tables built on the two code kets and
+    # the four code units; that rests only on each letter being linear, so
+    # it must agree with the state-by-state oracle for a channel and a frame
+    # that share nothing with the code.
+    frame, channel = random_frame(10 * seed), random_kraus_channel(8, 4, seed)
     monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
     monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
     got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)

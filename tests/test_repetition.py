@@ -6,6 +6,7 @@ import pytest
 
 from qubitbench.frames import OperatorAlgebra, algebra_structure, expectation
 from qubitbench.linalg import (
+    KrausChannel,
     basis_state,
     dagger,
     density,
@@ -263,6 +264,24 @@ def test_invariance_suite_zero_trials_is_static():
     report = invariance_suite(0, seed=1)
     assert max(report.values()) <= 1e-9
     assert list(report) == ["frame_commutes_with_error_recovery_words"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_invariance_suite_builds_no_trial_tables_without_trials(seed, monkeypatch):
+    # the cycle letters are one KrausChannel.apply on a stack, built only
+    # when some trial will read them
+    shapes = []
+    apply = KrausChannel.apply
+
+    def counted(channel, rho):
+        shapes.append(np.shape(rho))
+        return apply(channel, rho)
+
+    monkeypatch.setattr(KrausChannel, "apply", counted)
+    invariance_suite(0, seed)
+    assert shapes == []
+    invariance_suite(300, seed)
+    assert shapes == [(4 * DIM ** 2, DIM, DIM)]
 
 
 def test_invariance_suite_deterministic_per_seed():

@@ -15,9 +15,12 @@ import pytest
 
 from qubitbench import collective as col
 from qubitbench import dualrail as dr
+from qubitbench import repetition as rep
 from qubitbench import suites
-from qubitbench.linalg import dagger, evolve, identity, max_abs
+from qubitbench.linalg import KrausChannel, dagger, evolve, identity, max_abs
 from qubitbench.suites import SuiteConfig, describe, run_suite
+
+from linalg_oracles import miscorrecting_channel
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 REFERENCE = json.loads((BENCHMARKS / "reference_names.json").read_text())
@@ -342,3 +345,32 @@ def test_a_scaled_protected_basis_breaks_the_purity_check(monkeypatch):
     [(_, dev)] = suites._collective_purity(SimpleNamespace(rng=np.random.default_rng(0)))
     assert dev > SuiteConfig().tolerance
     assert dev == pytest.approx(1.01 ** 8 - 1.0, abs=1e-12)
+
+
+def test_a_miscorrecting_recovery_trips_the_recovery_family():
+    # K_a = E_(a+1)/2 is trace preserving, but R_a E_a = E_(a+1) E_a / 2
+    # has no weight on the code (|<000|R_a E_a|000>| = 0), and R_(b-1) E_b
+    # = 1/2 keeps half of every code state
+    checks = dict(suites._repetition_recovery(SimpleNamespace(channel=miscorrecting_channel())))
+    assert checks == {
+        "recovery_trace_preserving": pytest.approx(0.0, abs=1e-15),
+        "matched_recovery_is_identity_on_code": pytest.approx(1.0, abs=1e-12),
+        "mismatched_recovery_annihilates_code": pytest.approx(0.5, abs=1e-12),
+    }
+
+
+def test_scaled_recovery_operators_trip_trace_preservation():
+    # sum_a (1.01 R_a)^dag (1.01 R_a) = 1.0201
+    channel = KrausChannel(tuple(1.01 * k for k in rep.recovery_channel().ops))
+    [(name, dev), *_] = suites._repetition_recovery(SimpleNamespace(channel=channel))
+    assert name == "recovery_trace_preserving"
+    assert dev == pytest.approx(1.01 ** 2 - 1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_miscorrecting_recovery_is_not_idempotent(seed):
+    # recovering twice moves a random state again: 0.046-0.089 over seeds 0-4
+    s = SimpleNamespace(channel=miscorrecting_channel(), rng=np.random.default_rng(seed))
+    [(name, dev)] = suites._repetition_recovery_idempotent(s)
+    assert name == "recovery_channel_idempotent"
+    assert dev > 0.01
