@@ -11,7 +11,8 @@ columns: the protected frame of each flavor, and the sector frames available
 when only S_z and S^2 are conserved.  The rotation scalars, and the support
 projector, pair swap and antisymmetric triple product built from them, are
 a second construction that the checks compare these frames with.
-``noiseless_invariance_suite`` measures the frames its caller built.
+``noiseless_invariance_suite`` runs the randomized checks on the frames its
+caller built; ``suites`` measures the static ones.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ import numpy as np
 from .frames import frame_from_isometry
 from .linalg import (
     basis_state,
-    commutator,
-    dagger,
     embed,
     expectations,
     identity,
-    kron,
     max_abs,
-    partial_trace,
     random_haar_state,
     sigma_x,
     sigma_y,
@@ -223,14 +220,10 @@ def _collective_unitaries(theta):
 
 
 def noiseless_invariance_suite(frames, trials, seed):
-    """Protection evidence for frames, a dict from flavor to frame, as an
-    ordered dict from check name to deviation in the order of frames.
-
-    Static part: every frame member commutes with every collective
-    generator, and in protected coordinates each generator is 1 (x) B with
-    2B a unit-norm real Pauli combination.  Randomized part: expectations of
-    the frame observables are invariant under random collective unitaries;
-    trials = 0 drops it.
+    """Randomized protection evidence for frames, a dict from flavor to
+    frame, as an ordered dict from check name to deviation in the order of
+    frames: expectations of the frame members are invariant under random
+    collective unitaries.  trials = 0 gives an empty dict and draws nothing.
 
     Trials run in stacks of at most linalg.TRIAL_CHUNK.  Per flavor, a stack
     of n draws from seed, an integer or a np.random.Generator drawn in place,
@@ -239,35 +232,19 @@ def noiseless_invariance_suite(frames, trials, seed):
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    generators = collective_ops(N_SPINS)
+    if trials == 0:
+        return {}
     rng = np.random.default_rng(seed)
     checks = {}
     for flavor, frame in frames.items():
         members = np.stack(frame.observables() + (frame.support,))
-
-        checks[f"frame_commutes_with_noise_{flavor}"] = max_abs(
-            *(commutator(o, s) for o in members for s in generators))
-
-        # V^dag S_alpha V = 1 (x) B_alpha, with B_alpha the gauge-factor block
-        v = protected_basis(flavor)
-        block_dev = unit_dev = 0.0
-        for s in generators:
-            m = dagger(v) @ s @ v
-            b = partial_trace(m, (2, 2), {1}) / 2.0
-            coeffs, residual = pauli_coefficients(2.0 * b)
-            block_dev = max_abs(block_dev, m - kron(identity(2), b))
-            unit_dev = max_abs(unit_dev, residual, coeffs @ coeffs - 1.0)
-        checks[f"noise_block_structure_{flavor}"] = block_dev
-        checks[f"gauge_action_unit_pauli_{flavor}"] = unit_dev
-
-        if trials > 0:
-            dev = 0.0
-            for n in trial_chunks(trials):
-                theta = rng.standard_normal((n, 3))
-                psi = random_haar_state(DIM, rng, n)
-                phi = (_collective_unitaries(theta) @ psi[:, :, None])[:, :, 0]
-                dev = max_abs(dev, expectations(phi, members) - expectations(psi, members))
-            checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
+        dev = 0.0
+        for n in trial_chunks(trials):
+            theta = rng.standard_normal((n, 3))
+            psi = random_haar_state(DIM, rng, n)
+            phi = (_collective_unitaries(theta) @ psi[:, :, None])[:, :, 0]
+            dev = max_abs(dev, expectations(phi, members) - expectations(psi, members))
+        checks[f"collective_unitary_expectation_invariance_{flavor}"] = dev
     return checks
 
 

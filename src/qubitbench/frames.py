@@ -327,11 +327,12 @@ def algebra_structure(alg):
 
 
 def frame_commutes_with(frame, alg):
-    """Worst entry of [O, G] over the frame observables O and the generators
-    G of alg; zero when the frame lies in the commutant."""
+    """Worst entry of [M, G] over the frame members M = P, X, Y, Z and the
+    generators G of alg; zero when the frame lies in the commutant."""
     if frame.ambient_dim != alg.ambient_dim:
         raise ValueError("frame and algebra dimensions differ")
-    return max_abs(*(commutator(o, g) for g in alg.generators for o in frame.observables()))
+    members = (frame.support,) + frame.observables()
+    return max_abs(*(commutator(m, g) for g in alg.generators for m in members))
 
 
 def expectation(op, state):

@@ -8,6 +8,8 @@ and the stabilizer-eigenvalue one, in which the qubit label is flipped by
 the first error.  The error-adapted factorization is the code isometry V
 with columns E_a |i_L>: its frame, through ``frames.frame_from_isometry``,
 has the whole space as support, and V^dag is the error-basis map.
+``invariance_suite`` runs the randomized checks on the frame and recovery
+channel its caller built; ``suites`` measures the static one.
 """
 
 from __future__ import annotations
@@ -17,11 +19,7 @@ import types
 
 import numpy as np
 
-from .frames import (
-    OperatorAlgebra,
-    frame_commutes_with,
-    frame_from_isometry,
-)
+from .frames import frame_from_isometry
 from .linalg import (
     INPUT_ROUNDING,
     KrausChannel,
@@ -279,63 +277,59 @@ def _code_tables(frame, channel):
     return single, np.concatenate(words), np.concatenate(cycles)
 
 
-def invariance_suite(trials, seed):
-    """Randomized evidence that the error-built frame ignores the noise, as
-    an ordered dict from check name to deviation.
+def invariance_suite(frame, channel, trials, seed):
+    """Randomized evidence that frame ignores the noise when channel is the
+    recovery, as an ordered dict from check name to deviation.
 
     For random encoded states: expectations are unchanged by any single
     error, by recovered words of alternating errors and matched resets, and
-    by error-then-full-recovery cycles at the density-operator level.  The
-    frame also commutes with every word E_b R_a.  trials = 0 drops the three
-    randomized checks and keeps the static commutation check.
+    by error-then-full-recovery cycles at the density-operator level.
+    trials = 0 gives an empty dict and draws nothing.
 
     Trials run in stacks of at most linalg.TRIAL_CHUNK.  Each stack of n
     draws from seed, an integer or a np.random.Generator drawn in place,
     the amplitudes random_haar_state(2, rng, n), then the word and cycle
     lengths (n, 2) in 1..3, then the letters (n, 2, 3), of which a trial
-    uses as many as its length.  The frame and the recovery channel are
-    read at call time.  Every trial lies in the code space and every letter
-    is linear, so for trials > 0 the code kets and code units go through
+    uses as many as its length.  Every trial lies in the code space and
+    every letter is linear, so the code kets and code units go through
     each word and cycle prefix once (_code_tables), and a trial reads each
     expectation, after every letter up to its length, as a product of its
     2 x 2 code density matrix with the table block of its prefix.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if trials == 0:
+        return {}
     rng = np.random.default_rng(seed)
-    frame = frame_from_errors()
-    checks = {}
-    if trials > 0:
-        single, word_blocks, cycle_blocks = _code_tables(frame, recovery_channel())
-        # Re sum_ij conj(r_ij) t_ij is the dot of r and t as real vectors
-        tables = np.concatenate([single, word_blocks, cycle_blocks]).view(float)
-        offsets = np.array([[len(single)], [len(single) + len(word_blocks)]])
-        steps = np.arange(3)
-        single_dev = word_dev = channel_dev = 0.0
-        for n in trial_chunks(trials):
-            c = random_haar_state(2, rng, n)
-            lengths = rng.integers(1, 4, size=(n, 2))
-            letters = rng.integers(0, 4, size=(n, 2, 3))
-            # the rows each trial reads: the four single errors, then its
-            # word and its cycle prefix after each step
-            prefix = np.empty((n, 2, 3), dtype=int)
-            node = 0
-            for step in steps:
-                node = 4 * node + 1 + letters[:, :, step]
-                prefix[:, :, step] = node
-            rows = np.concatenate([np.broadcast_to(np.arange(4), (n, 4)),
-                                   (prefix + offsets).reshape(n, 6)], axis=1)
-            rho = (c[:, :, None] * c.conj()[:, None, :]).reshape(n, 4).view(float)
-            # one contraction for every row, so equal blocks read equal values
-            reads = np.einsum("nv,nrkv->nrk", rho, tables[rows])
-            dev = reads - reads[:, :1]
-            run = lengths[:, :, None] > steps
-            single_dev = max_abs(single_dev, dev[:, :4])
-            word_dev = max_abs(word_dev, dev[:, 4:7][run[:, 0]])
-            channel_dev = max_abs(channel_dev, dev[:, 7:][run[:, 1]])
-        checks["single_error_expectation_invariance"] = single_dev
-        checks["recovered_word_expectation_invariance"] = word_dev
-        checks["error_then_recovery_channel_invariance"] = channel_dev
-    words = OperatorAlgebra(tuple(error_recovery_words().values()))
-    checks["frame_commutes_with_error_recovery_words"] = frame_commutes_with(frame, words)
-    return checks
+    single, word_blocks, cycle_blocks = _code_tables(frame, channel)
+    # Re sum_ij conj(r_ij) t_ij is the dot of r and t as real vectors
+    tables = np.concatenate([single, word_blocks, cycle_blocks]).view(float)
+    offsets = np.array([[len(single)], [len(single) + len(word_blocks)]])
+    steps = np.arange(3)
+    single_dev = word_dev = channel_dev = 0.0
+    for n in trial_chunks(trials):
+        c = random_haar_state(2, rng, n)
+        lengths = rng.integers(1, 4, size=(n, 2))
+        letters = rng.integers(0, 4, size=(n, 2, 3))
+        # the rows each trial reads: the four single errors, then its
+        # word and its cycle prefix after each step
+        prefix = np.empty((n, 2, 3), dtype=int)
+        node = 0
+        for step in steps:
+            node = 4 * node + 1 + letters[:, :, step]
+            prefix[:, :, step] = node
+        rows = np.concatenate([np.broadcast_to(np.arange(4), (n, 4)),
+                               (prefix + offsets).reshape(n, 6)], axis=1)
+        rho = (c[:, :, None] * c.conj()[:, None, :]).reshape(n, 4).view(float)
+        # one contraction for every row, so equal blocks read equal values
+        reads = np.einsum("nv,nrkv->nrk", rho, tables[rows])
+        dev = reads - reads[:, :1]
+        run = lengths[:, :, None] > steps
+        single_dev = max_abs(single_dev, dev[:, :4])
+        word_dev = max_abs(word_dev, dev[:, 4:7][run[:, 0]])
+        channel_dev = max_abs(channel_dev, dev[:, 7:][run[:, 1]])
+    return {
+        "single_error_expectation_invariance": single_dev,
+        "recovered_word_expectation_invariance": word_dev,
+        "error_then_recovery_channel_invariance": channel_dev,
+    }

@@ -398,7 +398,9 @@ def _repetition_invariance(s):
     random encoded states, each read after every letter as a quadratic form
     in the state's two code amplitudes; the frame commutes with every word
     E_b R_a."""
-    yield from rep.invariance_suite(s.trials, s.rng).items()
+    yield from rep.invariance_suite(s.frame, s.channel, s.trials, s.rng).items()
+    words = s.structures["error_recovery_words"].algebra
+    yield "frame_commutes_with_error_recovery_words", frame_commutes_with(s.frame, words)
 
 
 def run_repetition(config, structures):
@@ -499,7 +501,24 @@ def _collective_invariance(s):
     coordinates each S_alpha is 1 (x) B with 2B a unit real Pauli
     combination; frame expectations are invariant under trials random
     collective unitaries."""
-    yield from col.noiseless_invariance_suite(s.frames, s.trials, s.rng).items()
+    randomized = col.noiseless_invariance_suite(s.frames, s.trials, s.rng)
+    noise = s.structures["collective_noise"].algebra
+    for flavor, frame in s.frames.items():
+        yield f"frame_commutes_with_noise_{flavor}", frame_commutes_with(frame, noise)
+        # V^dag S_alpha V = 1 (x) B_alpha, with B_alpha the gauge-factor block
+        v = col.protected_basis(flavor)
+        block_dev = unit_dev = 0.0
+        for g in s.generators:
+            m = dagger(v) @ g @ v
+            b = partial_trace(m, (2, 2), {1}) / 2.0
+            coeffs, residual = col.pauli_coefficients(2.0 * b)
+            block_dev = max_abs(block_dev, m - kron(identity(2), b))
+            unit_dev = max_abs(unit_dev, residual, coeffs @ coeffs - 1.0)
+        yield f"noise_block_structure_{flavor}", block_dev
+        yield f"gauge_action_unit_pauli_{flavor}", unit_dev
+        name = f"collective_unitary_expectation_invariance_{flavor}"
+        if name in randomized:
+            yield name, randomized[name]
 
 
 def _collective_purity(s):
@@ -529,8 +548,8 @@ def _collective_exchange_sector(s):
         *(residual for frame in frames
           for residual in (*verify_frame(frame).values(), np.trace(frame.support).real - 2.0)))
     yield "exchange_sector_commutes_with_sz", max_abs(
-        *(commutator(o, sz) for frame in frames for o in frame.observables()))
-    breaks = [max_abs(*(commutator(o, sx) for o in frame.observables())) for frame in frames]
+        *(frame_commutes_with(frame, OperatorAlgebra((sz,))) for frame in frames))
+    breaks = [frame_commutes_with(frame, OperatorAlgebra((sx,))) for frame in frames]
     yield "exchange_sector_not_collectively_protected", float(
         np.maximum(0.0, 0.1 - np.min(breaks)))
 
@@ -637,10 +656,13 @@ def _algebra_expectation(s):
 
 def _algebra_protected_frame(s):
     """The error-built repetition frame commutes with every error-recovery
-    word E_b R_a: the worst entry of [O, E_b R_a] over the frame observables
-    and the sixteen words."""
-    words = s.structures["error_recovery_words"].algebra
-    yield "protected_frame_in_noise_commutant", frame_commutes_with(rep.frame_from_errors(), words)
+    word E_b R_a: the worst entry left of P, X, Y and Z after projection
+    onto the span of the stored commutant basis of the sixteen words."""
+    frame = rep.frame_from_errors()
+    members = np.stack((frame.support,) + frame.observables()).reshape(4, -1)
+    # the basis is orthonormal in the Hilbert-Schmidt product
+    comm = np.reshape(s.structures["error_recovery_words"].commutant, (-1, members.shape[1]))
+    yield "protected_frame_in_noise_commutant", max_abs(members - members @ comm.conj().T @ comm)
 
 
 def run_algebra(config, structures):

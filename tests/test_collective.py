@@ -303,11 +303,27 @@ def test_collective_unitaries_match_evolve():
     assert max_abs(unitaries[-2] - identity(8)) == 0.0
 
 
+def invariance_family(trials, seed):
+    """The checks of the collective invariance family, on the inputs
+    run_collective builds."""
+    sx, sy, sz, _ = total_spin_ops()
+    s = SimpleNamespace(frames={flavor: noiseless_frame(flavor) for flavor in FLAVORS},
+                        generators=(sx, sy, sz), trials=trials,
+                        rng=np.random.default_rng(seed), structures=suites._Structures())
+    return list(suites._collective_invariance(s))
+
+
 def test_invariance_suite_runs_green():
+    checks = invariance_family(10, seed=4)
+    assert [name for name, _ in checks] == [
+        f"{check}_{flavor}" for flavor in FLAVORS
+        for check in ("frame_commutes_with_noise", "noise_block_structure",
+                      "gauge_action_unit_pauli", "collective_unitary_expectation_invariance")]
+    assert all(dev <= 1e-9 for _, dev in checks), checks
+    assert checks == invariance_family(10, seed=4)
     frames = {flavor: noiseless_frame(flavor) for flavor in FLAVORS}
-    report = noiseless_invariance_suite(frames, 10, seed=4)
-    assert max(report.values()) <= 1e-9
-    assert list(report.items()) == list(noiseless_invariance_suite(frames, 10, seed=4).items())
+    assert list(noiseless_invariance_suite(frames, 10, seed=4)) == [
+        f"collective_unitary_expectation_invariance_{flavor}" for flavor in FLAVORS]
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -315,6 +315,13 @@ def test_frame_commutes_with_detects_violation():
     assert not frame_commutes_with(frame, alg) <= TOL
 
 
+def test_frame_commutes_with_reads_the_support():
+    # [|0><0|, sigma_x] = |0><1| - |1><0|; the observables are zero
+    zero = np.zeros((2, 2), dtype=complex)
+    frame = EncodedQubitFrame(support=density(basis_state(2, 0)), x=zero, y=zero, z=zero)
+    assert frame_commutes_with(frame, OperatorAlgebra((sigma_x,))) == 1.0
+
+
 def test_frame_commutes_with_dim_mismatch():
     with pytest.raises(ValueError):
         frame_commutes_with(pauli_frame(), OperatorAlgebra((identity(4),)))

@@ -27,6 +27,7 @@ from qubitbench.suites import SuiteConfig, run_suite
 from qubitbench.frames import EncodedQubitFrame
 from qubitbench.linalg import (
     TRIAL_CHUNK,
+    KrausChannel,
     child_seed,
     density,
     embed,
@@ -116,10 +117,6 @@ def collective_oracle(trials, seed, frame_of):
     return out
 
 
-def randomized(report, names):
-    return {name: dev for name, dev in report.items() if name in names}
-
-
 def qubit_one_frame(n_sites):
     """Paulis on the first physical qubit or spin: unprotected by both codes."""
     return EncodedQubitFrame(
@@ -130,9 +127,10 @@ def qubit_one_frame(n_sites):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
 def test_repetition_stacks_match_per_trial_oracle(trials, seed):
-    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
-    expected = repetition_oracle(trials, seed, rep.frame_from_errors(), rep.recovery_channel())
-    assert got.keys() == expected.keys()
+    frame, channel = rep.frame_from_errors(), rep.recovery_channel()
+    got = rep.invariance_suite(frame, channel, trials, seed)
+    expected = repetition_oracle(trials, seed, frame, channel)
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert abs(got[name] - dev) <= 1e-12, name
         assert got[name] <= 1e-9, name
@@ -140,16 +138,14 @@ def test_repetition_stacks_match_per_trial_oracle(trials, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
-def test_repetition_stacks_are_sensitive(trials, seed, monkeypatch):
+def test_repetition_stacks_are_sensitive(trials, seed):
     # Recovered words and recovery cycles return every code state exactly,
     # whatever the frame; only a recovery that miscorrects lets the
     # unprotected frame show in those two checks.
     frame, channel = qubit_one_frame(3), miscorrecting_channel()
-    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
-    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
-    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    got = rep.invariance_suite(frame, channel, trials, seed)
     expected = repetition_oracle(trials, seed, frame, channel)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert got[name] > 0.1, name
         assert abs(got[name] - dev) <= 1e-12, name
@@ -164,17 +160,15 @@ def random_frame(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
-def test_repetition_stacks_match_the_oracle_for_any_channel_and_frame(trials, seed, monkeypatch):
+def test_repetition_stacks_match_the_oracle_for_any_channel_and_frame(trials, seed):
     # The suite reads every trial off tables built on the two code kets and
     # the four code units; that rests only on each letter being linear, so
     # it must agree with the state-by-state oracle for a channel and a frame
     # that share nothing with the code.
     frame, channel = random_frame(10 * seed), random_kraus_channel(8, 4, seed)
-    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
-    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
-    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    got = rep.invariance_suite(frame, channel, trials, seed)
     expected = repetition_oracle(trials, seed, frame, channel)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert got[name] > 0.1, name
         assert abs(got[name] - dev) <= 1e-12, name
@@ -192,13 +186,11 @@ def aligned_projector_frame():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
-def test_repetition_stacks_keep_the_amplitude_order(trials, seed, monkeypatch):
+def test_repetition_stacks_keep_the_amplitude_order(trials, seed):
     frame, channel = aligned_projector_frame(), miscorrecting_channel()
-    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
-    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
-    got = randomized(rep.invariance_suite(trials, seed), REPETITION_RANDOMIZED)
+    got = rep.invariance_suite(frame, channel, trials, seed)
     expected = repetition_oracle(trials, seed, frame, channel)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert abs(got[name] - dev) <= 1e-12, name
 
@@ -207,17 +199,12 @@ def noiseless_frames():
     return {flavor: col.noiseless_frame(flavor) for flavor in col.FLAVORS}
 
 
-def collective_names():
-    return {f"collective_unitary_expectation_invariance_{f}" for f in col.FLAVORS}
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", TRIALS)
 def test_collective_stacks_match_per_trial_oracle(trials, seed):
-    got = randomized(col.noiseless_invariance_suite(noiseless_frames(), trials, seed),
-                     collective_names())
+    got = col.noiseless_invariance_suite(noiseless_frames(), trials, seed)
     expected = collective_oracle(trials, seed, col.noiseless_frame)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert abs(got[name] - dev) <= 1e-12, name
         assert got[name] <= 1e-9, name
@@ -228,9 +215,9 @@ def test_collective_stacks_match_per_trial_oracle(trials, seed):
 def test_collective_stacks_are_sensitive(trials, seed):
     frame = qubit_one_frame(3)
     frames = {flavor: frame for flavor in col.FLAVORS}
-    got = randomized(col.noiseless_invariance_suite(frames, trials, seed), collective_names())
+    got = col.noiseless_invariance_suite(frames, trials, seed)
     expected = collective_oracle(trials, seed, lambda flavor: frame)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(expected)
     for name, dev in expected.items():
         assert got[name] > 0.1, name
         assert abs(got[name] - dev) <= 1e-12, name
@@ -361,11 +348,31 @@ def test_logical_evolution_matches_oracle_on_leaking_generators(trials):
 MEMORY_GUARD_BYTES = 4 * 2**20
 
 
-@pytest.mark.parametrize("suite", [rep.invariance_suite, col.noiseless_invariance_suite],
-                         ids=lambda f: f.__name__)
-def test_invariance_suite_peak_memory_guard(suite):
-    if suite is col.noiseless_invariance_suite:
-        suite = functools.partial(suite, noiseless_frames())
+def on_suite_inputs(kernel):
+    """kernel(trials, seed) on the inputs its suite runner passes it."""
+    if kernel is rep.invariance_suite:
+        return functools.partial(kernel, rep.frame_from_errors(), rep.recovery_channel())
+    return functools.partial(kernel, noiseless_frames())
+
+
+KERNELS = pytest.mark.parametrize("kernel", [rep.invariance_suite, col.noiseless_invariance_suite],
+                                  ids=lambda f: f.__name__)
+
+
+@KERNELS
+def test_invariance_kernels_at_zero_trials_return_nothing_and_draw_nothing(kernel, monkeypatch):
+    calls = []
+    monkeypatch.setattr(KrausChannel, "apply", lambda *args: calls.append(args))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert on_suite_inputs(kernel)(0, rng) == {}
+    assert rng.bit_generator.state == state
+    assert calls == []
+
+
+@KERNELS
+def test_invariance_suite_peak_memory_guard(kernel):
+    suite = on_suite_inputs(kernel)
     suite(1, 0)  # builds the shared constants outside the measurement
     peaks = {}
     for trials in (1_000, 10_000):

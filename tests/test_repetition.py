@@ -1,9 +1,12 @@
 """Three-bit flip code: errors, syndromes, recovery, and the two subsystem
 pictures (error basis vs stabilizer labels)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qubitbench import suites
 from qubitbench.frames import OperatorAlgebra, algebra_structure, expectation
 from qubitbench.linalg import (
     KrausChannel,
@@ -250,20 +253,31 @@ def test_word_algebra_has_two_by_four_block():
     assert (2, 4) in algebra_structure(alg).blocks
 
 
+RANDOMIZED = ("single_error_expectation_invariance",
+              "recovered_word_expectation_invariance",
+              "error_then_recovery_channel_invariance")
+
+
+def invariance_family(trials, seed):
+    """The checks of the repetition invariance family, on the inputs
+    run_repetition builds."""
+    s = SimpleNamespace(frame=frame_from_errors(), channel=recovery_channel(), trials=trials,
+                        rng=np.random.default_rng(seed), structures=suites._Structures())
+    return list(suites._repetition_invariance(s))
+
+
 def test_invariance_suite_report_shape():
-    report = invariance_suite(5, seed=1)
-    assert max(report.values()) <= 1e-9
-    names = list(report)
-    assert "single_error_expectation_invariance" in names
-    assert "recovered_word_expectation_invariance" in names
-    assert "error_then_recovery_channel_invariance" in names
-    assert "frame_commutes_with_error_recovery_words" in names
+    checks = invariance_family(5, seed=1)
+    assert [name for name, _ in checks] == [*RANDOMIZED, "frame_commutes_with_error_recovery_words"]
+    assert all(dev <= 1e-9 for _, dev in checks), checks
+    randomized = invariance_suite(frame_from_errors(), recovery_channel(), 5, seed=1)
+    assert list(randomized) == list(RANDOMIZED)
 
 
 def test_invariance_suite_zero_trials_is_static():
-    report = invariance_suite(0, seed=1)
-    assert max(report.values()) <= 1e-9
-    assert list(report) == ["frame_commutes_with_error_recovery_words"]
+    [(name, dev)] = invariance_family(0, seed=1)
+    assert name == "frame_commutes_with_error_recovery_words"
+    assert dev <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])
@@ -278,13 +292,15 @@ def test_invariance_suite_builds_no_trial_tables_without_trials(seed, monkeypatc
         return apply(channel, rho)
 
     monkeypatch.setattr(KrausChannel, "apply", counted)
-    invariance_suite(0, seed)
+    frame, channel = frame_from_errors(), recovery_channel()
+    invariance_suite(frame, channel, 0, seed)
     assert shapes == []
-    invariance_suite(300, seed)
+    invariance_suite(frame, channel, 300, seed)
     assert shapes == [(4 * DIM ** 2, DIM, DIM)]
 
 
 def test_invariance_suite_deterministic_per_seed():
-    a = list(invariance_suite(4, seed=9).items())
-    b = list(invariance_suite(4, seed=9).items())
+    frame, channel = frame_from_errors(), recovery_channel()
+    a = list(invariance_suite(frame, channel, 4, seed=9).items())
+    b = list(invariance_suite(frame, channel, 4, seed=9).items())
     assert a == b

@@ -17,6 +17,7 @@ from qubitbench import collective as col
 from qubitbench import dualrail as dr
 from qubitbench import repetition as rep
 from qubitbench import suites
+from qubitbench.frames import frame_commutes_with
 from qubitbench.linalg import KrausChannel, dagger, evolve, identity, max_abs
 from qubitbench.suites import SuiteConfig, describe, run_suite
 
@@ -374,3 +375,18 @@ def test_a_miscorrecting_recovery_is_not_idempotent(seed):
     [(name, dev)] = suites._repetition_recovery_idempotent(s)
     assert name == "recovery_channel_idempotent"
     assert dev > 0.01
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_a_commutant_missing_an_element_trips_the_protected_frame_check(dropped):
+    # the words' commutant is M_2 (x) 1_4; without one of its four
+    # elements the frame leaves 1.11-1.17 outside the span, while every
+    # commutator of the frame with the words still reads 0.0
+    words = suites._Structures()["error_recovery_words"]
+    truncated = dataclasses.replace(
+        words, commutant=words.commutant[:dropped] + words.commutant[dropped + 1:])
+    s = SimpleNamespace(structures={"error_recovery_words": truncated})
+    [(name, dev)] = suites._algebra_protected_frame(s)
+    assert name == "protected_frame_in_noise_commutant"
+    assert dev > 1.0
+    assert frame_commutes_with(rep.frame_from_errors(), truncated.algebra) == 0.0
