@@ -18,18 +18,18 @@ def build_parser():
         prog="qubitbench",
         description="Run numerical consistency suites for encoded-qubit constructions.",
     )
-    parser.add_argument("--suite", choices=SUITE_NAMES, default="all",
-                        help="which suite to run (default: all)")
-    parser.add_argument("--tol", type=float, default=1e-9, metavar="EPS",
-                        help="pass threshold on each max deviation (default: 1e-9)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed for all randomized checks (default: 0)")
-    parser.add_argument("--trials", type=int, default=100,
-                        help="random trials per invariance check; 0 drops the five "
-                             "randomized invariance checks, and the checks that draw "
-                             "max(1, trials // 10) samples still draw one (default: 100)")
-    parser.add_argument("--cutoff", type=int, default=2,
-                        help="Fock-space occupation cutoff per mode (default: 2)")
+    parser.add_argument("--suite", choices=SUITE_NAMES, default=SuiteConfig.suite,
+                        help="which suite to run (default: %(default)s)")
+    parser.add_argument("--tol", type=float, default=SuiteConfig.tolerance, metavar="EPS",
+                        help="pass threshold on each max deviation (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=SuiteConfig.seed,
+                        help="master seed for all randomized checks (default: %(default)s)")
+    parser.add_argument("--trials", type=int, default=SuiteConfig.trials,
+                        help="random trials per invariance check; 0 drops the five randomized "
+                             "invariance checks, and the checks that draw max(1, trials // 10) "
+                             "samples still draw one (default: %(default)s)")
+    parser.add_argument("--cutoff", type=int, default=SuiteConfig.cutoff,
+                        help="Fock-space occupation cutoff per mode (default: %(default)s)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     parser.add_argument("--format", choices=("text", "json"), default="text",

@@ -4,11 +4,12 @@ An encoded qubit is specified operationally: a support projector P together
 with Hermitian observables X, Y, Z that reproduce the Pauli relations on the
 range of P.  ``frame_from_isometry`` builds one from an isometry V onto a
 subsystem C^2 (x) C^m of the physical space: P = V V^dag and each
-observable is V (sigma (x) 1_m) V^dag.  ``verify_frame`` turns the
-definition into named deviations, one per relation, each one
-``linalg.max_abs`` over the relation's residuals, so a NaN entry of any
-member reaches every deviation that reads it; judging them against a
-tolerance is left to the caller.
+observable is V (sigma (x) 1_m) V^dag.  ``gauge_split`` reads an operator O
+on the same subsystem: V^dag O V is 1_2 (x) G, noise that spares the qubit,
+up to a residual.  ``verify_frame`` turns the definition into named
+deviations, one per relation, each one ``linalg.max_abs`` over the
+relation's residuals, so a NaN entry of any member reaches every deviation
+that reads it; judging them against a tolerance is left to the caller.
 The commutant and isotypic machinery locates such qubits inside the structure
 that a noise algebra imposes on the state space.
 
@@ -52,6 +53,7 @@ from .linalg import (
     is_hermitian,
     kron,
     max_abs,
+    partial_trace,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -60,6 +62,7 @@ from .linalg import (
 __all__ = [
     "EncodedQubitFrame",
     "frame_from_isometry",
+    "gauge_split",
     "OperatorAlgebra",
     "AlgebraStructure",
     "verify_frame",
@@ -111,6 +114,15 @@ def frame_from_isometry(v):
     gauge = identity(v.shape[1] // 2)
     x, y, z = (v @ kron(s, gauge) @ dagger(v) for s in (sigma_x, sigma_y, sigma_z))
     return EncodedQubitFrame(support=v @ dagger(v), x=x, y=y, z=z)
+
+
+def gauge_split(v, op):
+    """G = tr_1(V^dag O V) / 2 on the gauge factor of v, in the column order of
+    ``frame_from_isometry``, and residual = max_abs(V^dag O V - 1_2 (x) G),
+    zero exactly when O acts on the subsystem as 1 (x) G."""
+    m = dagger(v) @ op @ v
+    g = partial_trace(m, (2, v.shape[1] // 2), {1}) / 2.0
+    return g, max_abs(m - kron(identity(2), g))
 
 
 def verify_frame(frame):

@@ -3,11 +3,13 @@
 The code spans |000> and |111> and protects against the error set
 E = {1, X1, X2, X3}.  Beyond the standard recovery channel, the module
 exposes the two tensor factorizations of the eight-dimensional space: the
-error-adapted one, in which every error acts trivially on the qubit factor,
-and the stabilizer-eigenvalue one, in which the qubit label is flipped by
-the first error.  The error-adapted factorization is the code isometry V
-with columns E_a |i_L>: its frame, through ``frames.frame_from_isometry``,
-has the whole space as support, and V^dag is the error-basis map.
+error-adapted one, in which every error moves a code state only on the
+syndrome factor, and the stabilizer-eigenvalue one, in which the qubit
+label is flipped by the first error.  The error-adapted factorization is
+held once, as the code isometry V = ``code_isometry()`` with columns
+E_a |i_L>: its frame, through ``frames.frame_from_isometry``, has the whole
+space as support, and the recovery R_a projects onto the columns of
+syndrome a before undoing E_a.
 ``invariance_suite`` runs the randomized checks on the frame and recovery
 channel its caller built; ``suites`` measures the static one.
 """
@@ -27,7 +29,6 @@ from .linalg import (
     basis_state,
     commutator,
     dagger,
-    density,
     embed,
     identity,
     max_abs,
@@ -50,7 +51,7 @@ __all__ = [
     "stabilizer_generators",
     "code_vector",
     "recovery_channel",
-    "subsystem_iso_Q",
+    "code_isometry",
     "subsystem_iso_Qprime",
     "frame_from_errors",
     "error_recovery_words",
@@ -139,40 +140,28 @@ def code_vector(a, i):
     return error_operator(a) @ logical
 
 
-def recovery_channel():
-    """Kraus channel R_a = E_a sum_i |v_a^i><v_a^i|; trace preserving.
-    The channel is shared and its operators are read-only."""
-    return _recovery_channel()
-
-
 @functools.cache
-def _recovery_channel():
-    ops = []
-    for a in range(4):
-        proj = sum(density(code_vector(a, i)) for i in (0, 1))
-        op = error_operator(a) @ proj
-        op.setflags(write=False)
-        ops.append(op)
-    return KrausChannel(tuple(ops))
-
-
-@functools.cache
-def _code_isometry():
-    # column 4 i + a is |v_a^i>: qubit index major, error index minor;
-    # shared and read-only
+def code_isometry():
+    """V: column 4 i + a is |v_a^i>, qubit index major and error index minor,
+    syndromes in the order of the static table.  Every word E_b R_a acts on
+    its subsystem as 1 (x) |e_b><e_a|.  The array is shared and read-only."""
     v = np.stack([code_vector(a, i) for i in (0, 1) for a in range(4)], axis=1)
     v.setflags(write=False)
     return v
 
 
-def subsystem_iso_Q():
-    """|v_a^i> -> |i> (x) |e_a>, syndrome basis ordered by the static table:
-    V^dag of the code isometry.
-
-    Under this map every error leaves the qubit factor untouched and only
-    relabels the syndrome factor.
-    """
-    return dagger(_code_isometry())
+@functools.cache
+def recovery_channel():
+    """Kraus channel R_a = E_a V_a V_a^dag, V_a = V[:, a::4] the columns of
+    syndrome a; trace preserving.  The channel is shared and its operators
+    are read-only."""
+    ops = []
+    for a in range(4):
+        v_a = code_isometry()[:, a::4]
+        op = error_operator(a) @ v_a @ dagger(v_a)
+        op.setflags(write=False)
+        ops.append(op)
+    return KrausChannel(tuple(ops))
 
 
 def subsystem_iso_Qprime():
@@ -198,7 +187,7 @@ def frame_from_errors():
     sum_a E_a O_C E_a for the code observable O_C, with support V V^dag = 1.
     The frame is shared and its arrays are read-only.
     """
-    frame = frame_from_isometry(_code_isometry())
+    frame = frame_from_isometry(code_isometry())
     for member in (frame.support,) + frame.observables():
         member.setflags(write=False)
     return frame
@@ -208,9 +197,7 @@ def frame_from_errors():
 def error_recovery_words():
     """All sixteen operators E_b R_a (recovery first, then a fresh error),
     keyed by (b, a); the mapping and its arrays are shared and read-only."""
-    # _recovery_channel, not the public name: a stand-in channel installed
-    # on the module must not end up in the cached words
-    channel = _recovery_channel()
+    channel = recovery_channel()
     words = {}
     for b in range(4):
         e_b = error_operator(b)

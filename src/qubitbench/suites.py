@@ -20,7 +20,7 @@ identical configurations reproduce identical numbers.
 from __future__ import annotations
 
 import textwrap
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +35,7 @@ from .frames import (
     commutant_basis,
     expectation,
     frame_commutes_with,
+    gauge_split,
     generated_algebra_dimension,
     isotypic_decomposition,
     verify_frame,
@@ -322,10 +323,10 @@ def _repetition_error_basis_iso(s):
     """|v_a^i> -> |i> (x) |e_a> is unitary; errors leave the qubit factor
     untouched (max(1, trials // 10) random states) and recovery resets the
     syndrome factor to |e_0>."""
-    iso_q = s.iso_q
-    yield "error_basis_iso_unitary", max_abs(dagger(iso_q) @ iso_q - identity(8))
+    v = s.v
+    yield "error_basis_iso_unitary", max_abs(v @ dagger(v) - identity(8))
     yield "error_basis_iso_vector_mapping", max_abs(
-        *(iso_q @ rep.code_vector(a, i) - basis_state(8, 4 * i + a)
+        *(dagger(v) @ rep.code_vector(a, i) - basis_state(8, 4 * i + a)
           for a in range(4) for i in (0, 1)))
 
     errors = np.stack([rep.error_operator(a) for a in range(4)])
@@ -335,22 +336,22 @@ def _repetition_error_basis_iso(s):
         corrupted = (errors @ rep.encode(c[:, 0], c[:, 1]).T).transpose(2, 0, 1)
         # qubit (x) syndrome amplitudes of each corrupted state; the qubit
         # factor's reduced operator is phi phi^dag over the syndrome index
-        phi = (corrupted @ iso_q.T).reshape(n, 4, 2, 4)
+        phi = (corrupted @ v.conj()).reshape(n, 4, 2, 4)
         rho_q = phi @ phi.conj().swapaxes(-1, -2)
         fidelity = np.einsum("ni,naik,nk->na", c.conj(), rho_q, c).real
         dev = max_abs(dev, 1.0 - fidelity)
     yield "errors_leave_qubit_factor_untouched", dev
 
+    splits = [gauge_split(v, op) for op in s.channel.ops]
     yield "recovery_resets_syndrome_factor", max_abs(
-        *(iso_q @ s.channel.ops[a] @ dagger(iso_q)
-          - kron(identity(2), np.outer(basis_state(4, 0), basis_state(4, a).conj()))
-          for a in range(4)))
+        *(part for a, (g, residual) in enumerate(splits)
+          for part in (residual, g - np.outer(basis_state(4, 0), basis_state(4, a)))))
 
 
 def _repetition_stabilizer_iso(s):
     """|abc> -> |a> (x) |a+b, b+c>: the global flip X1 X2 X3 is the qubit
     flip, but the first error flips this qubit label too, so the label is
-    not protected (X1 is at spectral distance 1 from every 1 (x) G)."""
+    not protected (X1 is at entrywise distance >= 1 from every 1 (x) G)."""
     iso_qp = s.iso_qp
     yield "stabilizer_iso_label_examples", max_abs(
         *(iso_qp @ basis_state(8, abc) - kron(basis_state(2, l), basis_state(4, m))
@@ -366,9 +367,7 @@ def _repetition_stabilizer_iso(s):
     yield "global_flip_is_qubit_flip_in_stabilizer_iso", max_abs(
         iso_qp @ global_flip @ dagger(iso_qp) - kron(sigma_x, identity(4)))
 
-    e1p = iso_qp @ rep.error_operator(1) @ dagger(iso_qp)
-    gauge_part = partial_trace(e1p, (2, 4), {1}) / 2.0
-    distance = np.linalg.norm(e1p - kron(identity(2), gauge_part), 2)
+    _, distance = gauge_split(dagger(iso_qp), rep.error_operator(1))
     yield "stabilizer_qubit_not_protected", abs(distance - 1.0)
 
 
@@ -405,7 +404,7 @@ def _repetition_invariance(s):
 
 def run_repetition(config, structures):
     return _run(config, "repetition", structures, frame=rep.frame_from_errors(),
-                channel=rep.recovery_channel(), iso_q=rep.subsystem_iso_Q(),
+                channel=rep.recovery_channel(), v=rep.code_isometry(),
                 iso_qp=rep.subsystem_iso_Qprime())
 
 
@@ -505,14 +504,12 @@ def _collective_invariance(s):
     noise = s.structures["collective_noise"].algebra
     for flavor, frame in s.frames.items():
         yield f"frame_commutes_with_noise_{flavor}", frame_commutes_with(frame, noise)
-        # V^dag S_alpha V = 1 (x) B_alpha, with B_alpha the gauge-factor block
         v = col.protected_basis(flavor)
         block_dev = unit_dev = 0.0
         for g in s.generators:
-            m = dagger(v) @ g @ v
-            b = partial_trace(m, (2, 2), {1}) / 2.0
+            b, block_residual = gauge_split(v, g)
             coeffs, residual = col.pauli_coefficients(2.0 * b)
-            block_dev = max_abs(block_dev, m - kron(identity(2), b))
+            block_dev = max_abs(block_dev, block_residual)
             unit_dev = max_abs(unit_dev, residual, coeffs @ coeffs - 1.0)
         yield f"noise_block_structure_{flavor}", block_dev
         yield f"gauge_action_unit_pauli_{flavor}", unit_dev
@@ -741,12 +738,7 @@ def run_suite(config):
                            "pass": deviation <= config.tolerance})
     return {
         "suite": config.suite,
-        "config": {
-            "tolerance": config.tolerance,
-            "seed": config.seed,
-            "trials": config.trials,
-            "cutoff": config.cutoff,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k != "suite"},
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }

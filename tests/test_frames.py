@@ -20,6 +20,7 @@ from qubitbench.frames import (
     expectation,
     frame_commutes_with,
     frame_from_isometry,
+    gauge_split,
     generated_algebra_dimension,
     isotypic_decomposition,
     verify_frame,
@@ -167,6 +168,54 @@ def test_frame_from_isometry_is_the_qubit_factor_of_v(m, extra, seed):
     for sigma, o in zip((sigma_x, sigma_y, sigma_z), frame.observables()):
         assert max_abs(dagger(v) @ o @ v - kron(sigma, identity(m))) <= 1e-12
     assert max_abs(frame.support - v @ dagger(v)) <= 1e-12
+
+
+def random_complex(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+ISOMETRY_SHAPES = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2 * m, 12)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=ISOMETRY_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_gauge_split_recovers_a_gauge_only_operator(shape, seed):
+    # O = V (1 (x) G) V^dag + Q K Q acts as 1 (x) G on the subsystem of V
+    # whatever it does on the complement Q = 1 - V V^dag.
+    m, n = shape
+    v, rng = random_isometry(n, 2 * m, seed), np.random.default_rng([seed, 1])
+    g, k = random_complex(rng, m), random_complex(rng, n)
+    q = identity(n) - v @ dagger(v)
+    got, residual = gauge_split(v, v @ kron(identity(2), g) @ dagger(v) + q @ k @ q)
+    assert max_abs(got - g) <= 1e-12
+    assert residual <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=ISOMETRY_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_gauge_split_residual_is_a_traceless_qubit_part(shape, seed):
+    # A (x) B with tr A = 0 has no gauge part: all of it is residual.
+    m, n = shape
+    v, rng = random_isometry(n, 2 * m, seed), np.random.default_rng([seed, 1])
+    a = random_complex(rng, 2)
+    a -= np.trace(a) / 2.0 * identity(2)
+    ab = kron(a, random_complex(rng, m))
+    g, residual = gauge_split(v, v @ ab @ dagger(v))
+    assert max_abs(g) <= 1e-12
+    assert abs(residual - max_abs(ab)) <= 1e-12
+
+
+def test_gauge_split_residual_is_nan_on_a_nan_entry():
+    op = identity(4)
+    op[1, 2] = np.nan
+    _, residual = gauge_split(identity(4), op)
+    assert math.isnan(residual)
+
+
+def test_gauge_split_needs_an_even_number_of_columns():
+    with pytest.raises(ValueError):
+        gauge_split(identity(3), identity(3))
 
 
 def test_frame_shape_validation():

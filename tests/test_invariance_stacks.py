@@ -29,6 +29,7 @@ from qubitbench.linalg import (
     TRIAL_CHUNK,
     KrausChannel,
     child_seed,
+    dagger,
     density,
     embed,
     evolve,
@@ -255,20 +256,19 @@ def qubit_factor_check(trials, seed):
 @pytest.mark.parametrize("trials", QUBIT_FACTOR_TRIALS)
 def test_qubit_factor_stacks_match_per_sample_oracle(trials, seed):
     got = qubit_factor_check(trials, seed)
-    assert abs(got - qubit_factor_oracle(trials, seed, rep.subsystem_iso_Q())) <= 1e-12
+    assert abs(got - qubit_factor_oracle(trials, seed, dagger(rep.code_isometry()))) <= 1e-12
     assert got <= 1e-9
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", QUBIT_FACTOR_TRIALS)
-def test_qubit_factor_stacks_are_sensitive(trials, seed, monkeypatch):
+def test_qubit_factor_stacks_are_sensitive(trials, seed):
     # Under the stabilizer labels the first error flips the qubit label, so
-    # the check reads 1 - |<c|X|c>|^2 on the unprotected frame.
-    frame, channel, iso = qubit_one_frame(3), miscorrecting_channel(), rep.subsystem_iso_Qprime()
-    monkeypatch.setattr(rep, "frame_from_errors", lambda: frame)
-    monkeypatch.setattr(rep, "recovery_channel", lambda: channel)
-    monkeypatch.setattr(rep, "subsystem_iso_Q", lambda: iso)
-    got = qubit_factor_check(trials, seed)
+    # the check reads 1 - |<c|X|c>|^2 when the family splits on that isometry.
+    iso = rep.subsystem_iso_Qprime()
+    s = SimpleNamespace(v=dagger(iso), channel=rep.recovery_channel(), trials=trials,
+                        rng=np.random.default_rng(child_seed(seed, "_repetition_error_basis_iso")))
+    got = dict(suites._repetition_error_basis_iso(s))["errors_leave_qubit_factor_untouched"]
     assert got > 0.1
     assert abs(got - qubit_factor_oracle(trials, seed, iso)) <= 1e-12
 

@@ -23,6 +23,7 @@ from qubitbench.linalg import (
 from qubitbench.repetition import (
     DIM,
     SYNDROME_TABLE,
+    code_isometry,
     code_vector,
     encode,
     error_operator,
@@ -33,7 +34,6 @@ from qubitbench.repetition import (
     logical_zero,
     recovery_channel,
     stabilizer_generators,
-    subsystem_iso_Q,
     subsystem_iso_Qprime,
     syndrome_from_commutation,
     syndrome_of,
@@ -126,7 +126,7 @@ def test_recovery_corrects_single_flips():
 
 
 def test_error_basis_iso_columns():
-    iso = subsystem_iso_Q()
+    iso = dagger(code_isometry())
     outer_products = sum(np.outer(basis_state(DIM, 4 * i + a), code_vector(a, i).conj())
                          for i in (0, 1) for a in range(4))
     assert max_abs(iso - outer_products) == 0.0
@@ -142,7 +142,7 @@ def test_noise_recovery_words_factor_exactly():
     # Bare double flips cross between logical sectors (the code corrects one
     # flip only), but every error-then-recovery word acts as identity on the
     # qubit factor times a syndrome shift: E_b R_a = 1 (x) |e_b><e_a|.
-    iso = subsystem_iso_Q()
+    iso = dagger(code_isometry())
     words = error_recovery_words()
     for (b, a), w in words.items():
         got = iso @ w @ dagger(iso)
@@ -153,7 +153,7 @@ def test_noise_recovery_words_factor_exactly():
 
 def test_single_error_on_code_stays_factored():
     # One error applied to a code state moves only the syndrome label.
-    iso = subsystem_iso_Q()
+    iso = dagger(code_isometry())
     for b in range(4):
         e_iso = iso @ error_operator(b) @ dagger(iso)
         for i in (0, 1):
@@ -163,7 +163,7 @@ def test_single_error_on_code_stays_factored():
 
 
 def test_recovery_in_error_basis_resets_syndrome():
-    iso = subsystem_iso_Q()
+    iso = dagger(code_isometry())
     channel = recovery_channel()
     for a in range(4):
         got = iso @ channel.ops[a] @ dagger(iso)
@@ -238,10 +238,12 @@ def test_protected_expectations_survive_any_word():
 
 def test_channel_frame_and_words_are_shared_and_read_only():
     channel, frame, words = recovery_channel(), frame_from_errors(), error_recovery_words()
+    v = code_isometry()
     assert channel is recovery_channel()
     assert frame is frame_from_errors()
     assert words is error_recovery_words()
-    for a in (*channel.ops, frame.support, *frame.observables(), *words.values()):
+    assert v is code_isometry()
+    for a in (*channel.ops, frame.support, *frame.observables(), *words.values(), v):
         with pytest.raises(ValueError):
             a[0, 0] = 2.0
     with pytest.raises(TypeError):
